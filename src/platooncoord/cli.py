@@ -64,7 +64,7 @@ def parse_arrival_spec(spec: str) -> ArrivalModel:
     raise UsageError(f"unknown arrival model {kind!r}")
 
 
-def _load_params(args) -> CostParams:
+def _load_config(args) -> dict:
     config = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -76,7 +76,11 @@ def _load_params(args) -> CostParams:
     for key, value in overrides.items():
         if value is not None:
             config[key] = value
-    return CostParams.from_config(config)
+    return config
+
+
+def _load_params(args) -> CostParams:
+    return CostParams.from_config(_load_config(args))
 
 
 def _grid_from(args) -> StateGrid:
@@ -251,22 +255,12 @@ def cmd_sweep(args) -> int:
     seeds = args.seeds
     base = FlowSchedule.from_csv(args.schedule) if args.schedule else FlowSchedule.bundled()
     rows = []
+    swept = {"gamma": "gamma", "d2": "d2_km"}.get(args.param)
+    if swept is None:
+        raise UsageError(f"unknown sweep parameter {args.param!r}")
+    config = _load_config(args)
     for value in args.values:
-        config = {}
-        if args.config:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        if args.param == "gamma":
-            config["gamma"] = value
-            if args.d2_km is not None:
-                config["d2_km"] = args.d2_km
-        elif args.param == "d2":
-            config["d2_km"] = value
-            if args.gamma is not None:
-                config["gamma"] = args.gamma
-        else:
-            raise UsageError(f"unknown sweep parameter {args.param!r}")
-        p = CostParams.from_config(config)
+        p = CostParams.from_config({**config, swept: value})
         consts = compute_constants(p)
         schedule = base.with_average_flow(args.avg_flow)
         metrics = []

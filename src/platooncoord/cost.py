@@ -170,6 +170,13 @@ def reward_merge_derivative(s: float, p: CostParams) -> float:
     return p.w1 - 2.0 * p.w2 * p.alpha * speed**3
 
 
+def reward_merge_second_derivative(s: float, p: CostParams) -> float:
+    """Second derivative of the merge reward with respect to s [currency/s^2]."""
+    _check_domain(s, p)
+    speed = p.d1 / (p.d1 / p.v - s)
+    return -6.0 * p.w2 * p.alpha * speed**4 / p.d1
+
+
 def _bisect(f, lo: float, hi: float, tol: float = 1e-9, max_iter: int = 200) -> float:
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:

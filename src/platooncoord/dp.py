@@ -303,25 +303,34 @@ class SolveResult:
     wall_time_s: float
 
 
-def _policy_from_values(grid, K, g_nodes, h_nodes, values, gamma, consts):
-    """Greedy threshold extraction from a converged value table."""
+def _greedy(grid, ev, g_nodes, h_nodes, gamma, consts):
+    """Vectorised greedy backup on the expected values ev at each node.
+
+    Returns the per-node merge flags, the per-node actions (the node itself
+    where merging wins, else the best cruise action below it, first on
+    ties) and the extracted threshold policy, or None if it never merges.
+    """
     nodes = grid.nodes()
-    ev = K @ values
     action_ok = nodes < consts.t0 - grid.step - 1e-12
     q1 = np.where(action_ok, h_nodes + gamma * ev, -np.inf)
-    run_max = np.maximum.accumulate(q1)
-    c_hat = float(nodes[int(np.argmax(q1))])
     qm = np.where(
         nodes <= consts.t0 - SINGULARITY_GUARD, g_nodes + gamma * ev, -np.inf
     )
-    merge_wins = np.zeros(grid.size, dtype=bool)
-    merge_wins[1:] = qm[1:] >= run_max[:-1]
-    merge_wins[0] = qm[0] > -np.inf
-    merged_idx = np.flatnonzero(merge_wins)
+    run_max = np.maximum.accumulate(q1)
+    below_max = np.concatenate(([-np.inf], run_max[:-1]))
+    records = q1 > below_max
+    records[0] = True
+    run_arg = np.maximum.accumulate(np.where(records, np.arange(grid.size), 0))
+    below_arg = np.concatenate(([0], run_arg[:-1]))
+    merged = (qm >= below_max) & (qm > -np.inf)
+    actions = np.where(merged, nodes, nodes[below_arg])
+    merged_idx = np.flatnonzero(merged)
     if merged_idx.size == 0:
-        raise SolverError("greedy policy never merges; grid does not bracket theta")
-    theta_hat = float(nodes[merged_idx[-1]])
-    return ThresholdPolicy(theta=theta_hat, c=c_hat), merge_wins
+        return merged, actions, None
+    policy = ThresholdPolicy(
+        theta=float(nodes[merged_idx[-1]]), c=float(nodes[run_arg[-1]])
+    )
+    return merged, actions, policy
 
 
 def greedy_actions(
@@ -329,34 +338,9 @@ def greedy_actions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-node greedy decision on a value table: (merge flags, actions)."""
     grid = vf.grid
-    nodes = grid.nodes()
-    quad = _quadrature(grid, model)
-    K = quad.matrix()
-    g_nodes, h_nodes = _reward_nodes(nodes, p)
-    ev = K @ vf.values
-    action_ok = nodes < consts.t0 - grid.step - 1e-12
-    q1 = np.where(action_ok, h_nodes + p.gamma * ev, -np.inf)
-    run_max = np.maximum.accumulate(q1)
-    run_arg = np.zeros(grid.size, dtype=int)
-    best = q1[0]
-    for i in range(1, grid.size):
-        if q1[i] > best:
-            best = q1[i]
-            run_arg[i] = i
-        else:
-            run_arg[i] = run_arg[i - 1]
-    qm = np.where(
-        nodes <= consts.t0 - SINGULARITY_GUARD, g_nodes + p.gamma * ev, -np.inf
-    )
-    merged = np.zeros(grid.size, dtype=bool)
-    actions = np.empty(grid.size)
-    for i in range(grid.size):
-        non_merge = run_max[i - 1] if i > 0 else -np.inf
-        if qm[i] >= non_merge:
-            merged[i] = True
-            actions[i] = nodes[i]
-        else:
-            actions[i] = nodes[run_arg[i - 1]]
+    g_nodes, h_nodes = _reward_nodes(grid.nodes(), p)
+    ev = _quadrature(grid, model).matrix() @ vf.values
+    merged, actions, _ = _greedy(grid, ev, g_nodes, h_nodes, p.gamma, consts)
     return merged, actions
 
 
@@ -418,7 +402,9 @@ def solve_bvi(
                 f"value iteration did not converge in {max_sweeps} sweeps "
                 f"(last delta {delta:.3g})"
             )
-    policy, _ = _policy_from_values(grid, K, g_nodes, h_nodes, values, p.gamma, consts)
+    _, _, policy = _greedy(grid, K @ values, g_nodes, h_nodes, p.gamma, consts)
+    if policy is None:
+        raise SolverError("greedy policy never merges; grid does not bracket theta")
     vf = ValueFunction(grid, values)
     z = float(values[-1])  # plateau value
     return SolveResult(

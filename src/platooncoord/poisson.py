@@ -20,6 +20,7 @@ from .cost import (
     platoon_bonus,
     reward_merge,
     reward_merge_derivative,
+    reward_merge_second_derivative,
 )
 from .dp import SolverError
 from .quadrature import adaptive_simpson, adaptive_simpson_batch
@@ -27,6 +28,7 @@ from .quadrature import adaptive_simpson, adaptive_simpson_batch
 RESIDUAL_TOL = 1e-8
 MAX_ITERATIONS = 200
 MAX_HALVINGS = 30
+INITIAL_SPLITS = 256
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,50 @@ def _integrand(p: CostParams, rate: float):
     return f
 
 
-def _exp_integral(c: float, theta: float, p: CostParams, rate: float, z: float) -> float:
-    tol = 1e-12 * (1.0 + abs(z))
-    return adaptive_simpson(_integrand(p, rate), c, theta, tol)
+def _plateau(theta: float, p: CostParams) -> float:
+    return reward_merge(theta, p) / (1.0 - p.gamma)
+
+
+def _tol(z: float) -> float:
+    return 1e-12 * (1.0 + abs(z))
+
+
+def _integral(f, c: float, theta: float, z: float) -> float:
+    """The boundary integral I(c, theta) of the integrand f."""
+    return adaptive_simpson(f, c, theta, _tol(z), initial_splits=INITIAL_SPLITS)
+
+
+def _value(s: float, c: float, integral: float, k: float, z: float, g0: float) -> float:
+    """V(s) = e^{ks} (I(c, s) + (z + g0) e^{-kc}), given integral = I(c, s)."""
+    return math.exp(k * s) * (integral + (z + g0) * math.exp(-k * c))
+
+
+def _conditions(
+    theta: float, c: float, integral: float, rate: float, p: CostParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual pair and its analytic Jacobian at (theta, c), given
+    integral = I(c, theta).
+
+    r1 = z - V(theta) is the plateau-continuity condition at theta and
+    r2 = G'(c) - rate G(c) + k (z + g0) the stationarity of V at its peak c.
+    Since dI/dtheta = f(theta) and dI/dc = -f(c), with
+    e^{kt} f(t) = G'(t) - rate G(t), the derivatives are exact.
+    """
+    k = rate * (1.0 - p.gamma)
+    g0 = platoon_bonus(p)
+    z = _plateau(theta, p)
+    dz = reward_merge_derivative(theta, p) / (1.0 - p.gamma)
+    dg_c = reward_merge_derivative(c, p)
+    v_theta = _value(theta, c, integral, k, z, g0)
+    r2 = dg_c - rate * reward_merge(c, p) + k * (z + g0)
+    shift = math.exp(k * (theta - c))
+    # e^{k theta} f(theta) = (1 - gamma)(z' - rate z), and
+    # e^{k theta} (f(c) + k (z + g0) e^{-kc}) = e^{k (theta - c)} r2.
+    r1_theta = dz - k * v_theta - (1.0 - p.gamma) * (dz - rate * z) - shift * dz
+    r2_c = reward_merge_second_derivative(c, p) - rate * dg_c
+    residual = np.array([z - v_theta, r2])
+    jac = np.array([[r1_theta, shift * r2], [k * dz, r2_c]])
+    return residual, jac
 
 
 def residuals(
@@ -71,91 +114,9 @@ def residuals(
     The first residual is the plateau-continuity condition at theta, the
     second the stationarity of the value function at its peak c.
     """
-    if theta > consts.t0 - SINGULARITY_GUARD:
-        raise CostDomainError(f"theta {theta!r} at or beyond the traversal time")
-    g0 = platoon_bonus(p)
-    k = rate * (1.0 - p.gamma)
-    z = reward_merge(theta, p) / (1.0 - p.gamma)
-    integral = _exp_integral(c, theta, p, rate, z)
-    r1 = z - math.exp(k * theta) * (integral + (z + g0) * math.exp(-k * c))
-    r2 = (
-        reward_merge_derivative(c, p)
-        - rate * reward_merge(c, p)
-        + k * (z + g0)
-    )
-    return r1, r2
-
-
-class _System:
-    """Residual evaluation with integral reuse across Newton steps.
-
-    The integrand does not depend on (theta, c), so the finite-difference
-    Jacobian only needs four sliver integrals at the interval edges on top
-    of the current full integral.
-    """
-
-    def __init__(self, rate: float, p: CostParams, consts: CostConstants):
-        self.rate = rate
-        self.p = p
-        self.consts = consts
-        self.k = rate * (1.0 - p.gamma)
-        self.g0 = platoon_bonus(p)
-        self.f = _integrand(p, rate)
-
-    def z_of(self, theta: float) -> float:
-        return reward_merge(theta, self.p) / (1.0 - self.p.gamma)
-
-    def tol(self, z: float) -> float:
-        return 1e-12 * (1.0 + abs(z))
-
-    def integral(self, c: float, theta: float, z: float) -> float:
-        return adaptive_simpson(self.f, c, theta, self.tol(z), initial_splits=256)
-
-    def shifted_integral(
-        self, integral: float, theta: float, c: float,
-        theta_new: float, c_new: float, z: float,
-    ) -> float:
-        """Move both endpoints by integrating only over the swept edges."""
-        deltas = adaptive_simpson_batch(
-            self.f,
-            [(theta, theta_new), (c, c_new)],
-            self.tol(z),
-            initial_splits=32,
-        )
-        return integral + float(deltas[0]) - float(deltas[1])
-
-    def residual_pair(self, theta: float, c: float, integral: float) -> np.ndarray:
-        z = self.z_of(theta)
-        r1 = z - math.exp(self.k * theta) * (
-            integral + (z + self.g0) * math.exp(-self.k * c)
-        )
-        r2 = (
-            reward_merge_derivative(c, self.p)
-            - self.rate * reward_merge(c, self.p)
-            + self.k * (z + self.g0)
-        )
-        return np.array([r1, r2])
-
-    def jacobian(self, theta: float, c: float, integral: float) -> np.ndarray:
-        ht = 1e-6 * max(1.0, abs(theta))
-        hc = 1e-6 * max(1.0, abs(c))
-        z = self.z_of(theta)
-        slivers = adaptive_simpson_batch(
-            self.f,
-            [(theta, theta + ht), (theta - ht, theta), (c, c + hc), (c - hc, c)],
-            self.tol(z),
-            initial_splits=2,
-        )
-        jac = np.empty((2, 2))
-        jac[:, 0] = (
-            self.residual_pair(theta + ht, c, integral + slivers[0])
-            - self.residual_pair(theta - ht, c, integral - slivers[1])
-        ) / (2.0 * ht)
-        jac[:, 1] = (
-            self.residual_pair(theta, c + hc, integral - slivers[2])
-            - self.residual_pair(theta, c - hc, integral + slivers[3])
-        ) / (2.0 * hc)
-        return jac
+    integral = _integral(_integrand(p, rate), c, theta, _plateau(theta, p))
+    r1, r2 = _conditions(theta, c, integral, rate, p)[0]
+    return float(r1), float(r2)
 
 
 def solve(
@@ -164,10 +125,9 @@ def solve(
     consts: CostConstants,
     init: tuple[float, float] | None = None,
 ) -> PoissonSolution:
-    """Damped-Newton root-find for (theta, c) with a finite-difference
-    Jacobian. ``init`` warm-starts the iteration (e.g. from the previous
-    vehicle's solution); the default start sits just inside the proven
-    bounds."""
+    """Damped-Newton root-find for (theta, c) with the analytic Jacobian.
+    ``init`` warm-starts the iteration (e.g. from the previous vehicle's
+    solution); the default start sits just inside the proven bounds."""
     if not rate > 0.0:
         raise ValueError(f"rate must be positive, got {rate!r}")
     if init is None:
@@ -177,20 +137,20 @@ def solve(
 
     theta_cap = consts.t0 - 1e-6
     theta_floor = consts.theta_n_prime - 50.0
-    system = _System(rate, p, consts)
+    f = _integrand(p, rate)
 
     def norm_scale(theta: float) -> float:
-        return max(1.0, abs(system.z_of(min(theta, theta_cap))))
+        return max(1.0, abs(_plateau(min(theta, theta_cap), p)))
 
-    integral = system.integral(x[1], x[0], system.z_of(x[0]))
-    fx = system.residual_pair(x[0], x[1], integral)
+    integral = _integral(f, x[1], x[0], _plateau(x[0], p))
+    fx, jac = _conditions(x[0], x[1], integral, rate, p)
     for iteration in range(MAX_ITERATIONS):
         fnorm = float(np.max(np.abs(fx)))
         if fnorm <= RESIDUAL_TOL * norm_scale(x[0]):
             sol = PoissonSolution(
                 theta=float(x[0]),
                 c=float(x[1]),
-                z=system.z_of(float(x[0])),
+                z=_plateau(float(x[0]), p),
                 rate=rate,
                 residual_norm=fnorm / norm_scale(x[0]),
                 iterations=iteration,
@@ -198,7 +158,6 @@ def solve(
             _check_bounds(sol, consts)
             return sol
 
-        jac = system.jacobian(float(x[0]), float(x[1]), integral)
         try:
             direction = np.linalg.solve(jac, -fx)
         except np.linalg.LinAlgError as exc:
@@ -210,13 +169,17 @@ def solve(
             if trial[0] >= theta_cap or trial[0] <= theta_floor:
                 scale *= 0.5
                 continue
-            z_trial = system.z_of(float(trial[0]))
-            integral_trial = system.shifted_integral(
-                integral, float(x[0]), float(x[1]), float(trial[0]), float(trial[1]), z_trial
+            # Move both endpoints by integrating only over the swept edges.
+            deltas = adaptive_simpson_batch(
+                f,
+                [(x[0], trial[0]), (x[1], trial[1])],
+                _tol(_plateau(trial[0], p)),
+                initial_splits=32,
             )
-            f_trial = system.residual_pair(float(trial[0]), float(trial[1]), integral_trial)
+            integral_trial = integral + float(deltas[0]) - float(deltas[1])
+            f_trial, jac_trial = _conditions(trial[0], trial[1], integral_trial, rate, p)
             if float(np.max(np.abs(f_trial))) < fnorm:
-                x, fx, integral = trial, f_trial, integral_trial
+                x, fx, jac, integral = trial, f_trial, jac_trial, integral_trial
                 break
             scale *= 0.5
         else:
@@ -251,7 +214,6 @@ def closed_form_value(
         raise CostDomainError(f"state {s!r} at or beyond the traversal time")
     if s >= sol.theta:
         return sol.z
-    g0 = platoon_bonus(p)
     k = sol.rate * (1.0 - p.gamma)
-    integral = _exp_integral(sol.c, s, p, sol.rate, sol.z)
-    return math.exp(k * s) * (integral + (sol.z + g0) * math.exp(-k * sol.c))
+    integral = _integral(_integrand(p, sol.rate), sol.c, s, sol.z)
+    return _value(s, sol.c, integral, k, sol.z, platoon_bonus(p))

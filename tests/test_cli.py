@@ -89,11 +89,11 @@ def test_solve_bad_grid_exit_code(capsys):
 
 
 def test_solve_numerical_failure_exit_code(capsys):
-    # Near-undiscounted iteration cannot shrink its updates below an absurd
-    # epsilon within the sweep cap, which must surface as exit code 2.
+    # No node of this grid lies in [c_n, theta_n], so recursive approximation
+    # has no candidate threshold, which must surface as exit code 2.
     code = main(
-        ["solve", "--solver", "bvi", "--arrivals", "exponential:0.02",
-         "--grid=-2,30,1", "--epsilon", "1e-12", "--gamma", "0.9999"]
+        ["solve", "--solver", "ra", "--arrivals", "exponential:0.02",
+         "--grid=-1,59,30"]
     )
     assert code == 2
     assert json.loads(capsys.readouterr().err)["kind"] == "numerical"

@@ -15,7 +15,11 @@ from platooncoord import (
     reward_merge,
     reward_merge_derivative,
 )
-from platooncoord.cost import NOMINAL_CONFIG, CostDomainError
+from platooncoord.cost import (
+    NOMINAL_CONFIG,
+    CostDomainError,
+    reward_merge_second_derivative,
+)
 
 
 def test_nominal_ingestion_units(p):
@@ -113,6 +117,10 @@ def test_derivative_matches_finite_difference(p):
     for s in (-50.0, -10.0, 0.0, 10.0, 25.0, 40.0):
         fd = (reward_merge(s + h, p) - reward_merge(s - h, p)) / (2 * h)
         assert reward_merge_derivative(s, p) == pytest.approx(fd, abs=1e-4)
+        fd2 = (
+            reward_merge_derivative(s + h, p) - reward_merge_derivative(s - h, p)
+        ) / (2 * h)
+        assert reward_merge_second_derivative(s, p) == pytest.approx(fd2, rel=1e-6)
 
 
 def test_derivative_sign_around_c_n(p, consts):

@@ -8,6 +8,7 @@ from platooncoord import (
     DiscreteRandom,
     Exponential,
     REDUCED_GRID,
+    SolverError,
     StateGrid,
     ValueFunction,
     bellman_backup,
@@ -155,6 +156,11 @@ def test_constant_model_solvers_agree(p, consts):
 def test_bvi_epsilon_validation(p, consts):
     with pytest.raises(ValueError):
         solve_bvi(REDUCED_GRID, Exponential(0.02), p, consts, epsilon=0.0)
+
+
+def test_bvi_sweep_cap(p, consts):
+    with pytest.raises(SolverError, match="did not converge"):
+        solve_bvi(REDUCED_GRID, Exponential(0.02), p, consts, max_sweeps=5)
 
 
 def test_greedy_structure(p, consts, bvi_exp):

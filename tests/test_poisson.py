@@ -15,7 +15,7 @@ from platooncoord import (
     solve_poisson,
     solve_ra,
 )
-from platooncoord import Exponential
+from platooncoord import CostParams, Exponential, compute_constants, poisson
 from platooncoord.cost import CostDomainError
 
 
@@ -45,6 +45,51 @@ def test_residuals_small_at_ra_solution(p, consts):
     # |dZ/dtheta| * step.
     assert abs(r1) <= 0.5
     assert abs(r2) <= 0.01
+
+
+def test_analytic_jacobian_matches_central_differences():
+    rng = np.random.default_rng(2)
+    h = 1e-4
+    for _ in range(20):
+        rate = float(np.exp(rng.uniform(np.log(0.005), np.log(0.2))))
+        p = CostParams.from_config({"gamma": float(rng.uniform(0.1, 0.99))})
+        consts = compute_constants(p)
+        theta = float(rng.uniform(consts.c_n, consts.theta_n))
+        c = float(rng.uniform(consts.theta_n_prime, consts.c_n))
+        integral = poisson._integral(
+            poisson._integrand(p, rate), c, theta, poisson._plateau(theta, p)
+        )
+        _, jac = poisson._conditions(theta, c, integral, rate, p)
+
+        def r(t, cc):
+            return np.array(residuals(t, cc, rate, p, consts))
+
+        central = np.column_stack(
+            [
+                (r(theta + h, c) - r(theta - h, c)) / (2.0 * h),
+                (r(theta, c + h) - r(theta, c - h)) / (2.0 * h),
+            ]
+        )
+        np.testing.assert_allclose(central, jac, rtol=1e-5)
+
+
+def test_random_parameters_agree_with_ra():
+    # Rates stay well below ~10 veh/s, where the boundary quadrature runs
+    # out of memory.
+    rng = np.random.default_rng(3)
+    step = REDUCED_GRID.step
+    for _ in range(30):
+        rate = float(np.exp(rng.uniform(np.log(0.003), np.log(0.2))))
+        p = CostParams.from_config({"gamma": float(rng.uniform(0.3, 0.95))})
+        consts = compute_constants(p)
+        sol = solve_poisson(rate, p, consts)
+        assert consts.c_n - 1e-6 <= sol.theta <= consts.theta_n + 1e-6
+        assert consts.theta_n_prime - 1e-6 <= sol.c <= consts.c_n + 1e-6
+        r1, r2 = residuals(sol.theta, sol.c, rate, p, consts)
+        assert max(abs(r1), abs(r2)) <= 1e-8 * max(1.0, abs(sol.z))
+        ra = solve_ra(REDUCED_GRID, Exponential(rate), p, consts)
+        assert abs(ra.policy.theta - sol.theta) <= 2 * step + 1e-9
+        assert abs(ra.policy.c - sol.c) <= 3 * step + 1e-9
 
 
 def test_residuals_reject_theta_beyond_t0(p, consts):
