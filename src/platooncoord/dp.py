@@ -9,6 +9,7 @@ threshold structure to avoid iteration entirely.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,47 +102,31 @@ class _ExponentialQuadrature:
 
     def __init__(self, grid: StateGrid, rate: float):
         self.grid = grid
-        self.rate = rate
         step = grid.step
-        size = grid.size
-        self.decay = np.exp(-rate * step)
         self.f0 = rate
-        j = np.arange(size)
-        # tail[i] = P(X > (size-1-i) * step); density at the matching offset
-        # is rate * tail.
-        self.tail = np.exp(-rate * step * (size - 1 - j))
-        trap = np.zeros(size)
-        r = self.decay
-        spans = size - 1 - j  # number of intervals from node i to the top
-        inner = np.where(
-            spans >= 2, r * (1.0 - r ** np.maximum(spans - 1, 0)) / (1.0 - r), 0.0
-        )
-        trap = np.where(
-            spans >= 1,
-            step * self.f0 * (0.5 + inner + 0.5 * self.tail),
-            0.0,
-        )
+        r = self.decay = np.exp(-rate * step)
+        spans = grid.size - 1 - np.arange(grid.size)  # intervals from node i to the top
+        # tail[i] = P(X > spans[i] * step); the density there is rate * tail[i].
+        self.tail = np.exp(-rate * step * spans)
+        inner = np.where(spans >= 2, r * (1.0 - r ** np.maximum(spans - 1, 0)) / (1.0 - r), 0.0)
+        trap = np.where(spans >= 1, step * rate * (0.5 + inner + 0.5 * self.tail), 0.0)
         self.mass = trap + self.tail
 
-    def matrix(self) -> np.ndarray:
-        """Dense operator K with (K @ V)[i] = normalized quadrature of
-        f(x) V(node_i + x)."""
-        size = self.grid.size
-        step = self.grid.step
-        K = np.zeros((size, size))
-        offsets = self.f0 * np.exp(-self.rate * step * np.arange(size))
-        for i in range(size):
-            span = size - 1 - i
-            if span == 0:
-                K[i, -1] = 1.0
-                continue
-            w = step * offsets[: span + 1].copy()
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            K[i, i:] = w
-            K[i, -1] += self.tail[i]
-            K[i] /= self.mass[i]
-        return K
+    def expect(self, values: np.ndarray) -> np.ndarray:
+        """E[V(node_i + X)] at every node. The running sum over higher nodes,
+        sum_{j > i} f0 r^{j-i} V_j, comes from a doubling scan in log2(N) steps.
+        """
+        f0 = self.f0
+        r = self.decay
+        running = np.zeros_like(values)
+        running[:-1] = f0 * r * values[1:]
+        s = 1
+        while s < running.size:
+            running[:-s] += r**s * running[s:]
+            s *= 2
+        v_top = values[-1]
+        raw = self.grid.step * (0.5 * f0 * values + running - 0.5 * f0 * self.tail * v_top)
+        return (raw + self.tail * v_top) / self.mass
 
     def backward_values(self, values: np.ndarray, top_index: int, g_nodes: np.ndarray,
                         gamma: float) -> None:
@@ -174,40 +159,41 @@ class _AtomQuadrature:
     """Point-mass expectation on a grid for discrete/constant headways."""
 
     def __init__(self, grid: StateGrid, atoms):
-        self.grid = grid
+        self.size = grid.size
         self.atoms = []
-        size = grid.size
         for h, prob in atoms:
             pos = h / grid.step
             base = int(pos)
-            frac = pos - base
-            self.atoms.append((prob, base, frac))
-        self.size = size
+            self.atoms.append((prob, base, pos - base))
 
-    def matrix(self) -> np.ndarray:
-        size = self.size
-        K = np.zeros((size, size))
-        idx = np.arange(size)
-        for prob, base, frac in self.atoms:
-            lo = np.minimum(idx + base, size - 1)
-            hi = np.minimum(idx + base + 1, size - 1)
-            K[idx, lo] += prob * (1.0 - frac)
-            K[idx, hi] += prob * frac
-        return K
-
-    def at(self, values: np.ndarray, i: int) -> float:
+    def expect(self, values: np.ndarray) -> np.ndarray:
+        """E[V(node_i + X)] at every node, with V(n) beyond the grid."""
+        idx = np.arange(self.size)
         top = self.size - 1
-        acc = 0.0
+        ev = np.zeros_like(values)
         for prob, base, frac in self.atoms:
-            lo = min(i + base, top)
-            hi = min(i + base + 1, top)
-            acc += prob * ((1.0 - frac) * values[lo] + frac * values[hi])
-        return acc
+            lo = np.minimum(idx + base, top)
+            hi = np.minimum(idx + base + 1, top)
+            ev += prob * ((1.0 - frac) * values[lo] + frac * values[hi])
+        return ev
 
     def backward_values(self, values: np.ndarray, top_index: int, g_nodes: np.ndarray,
                         gamma: float) -> None:
+        """Fill values[i] = G_i + gamma * E[V] for i below top_index, in place.
+        An atom shorter than one step weighs node i itself; that term is linear
+        in values[i], so it is solved for instead of read before it is written.
+        """
+        top = self.size - 1
+        self_weight = sum(prob * (1.0 - frac) for prob, base, frac in self.atoms if base == 0)
+        scale = 1.0 - gamma * self_weight
         for i in range(top_index - 1, -1, -1):
-            values[i] = g_nodes[i] + gamma * self.at(values, i)
+            values[i] = 0.0  # the self term, solved for through scale
+            acc = 0.0
+            for prob, base, frac in self.atoms:
+                lo = min(i + base, top)
+                hi = min(i + base + 1, top)
+                acc += prob * ((1.0 - frac) * values[lo] + frac * values[hi])
+            values[i] = (g_nodes[i] + gamma * acc) / scale
 
 
 def _quadrature(grid: StateGrid, model: ArrivalModel):
@@ -339,14 +325,14 @@ def greedy_actions(
     """Per-node greedy decision on a value table: (merge flags, actions)."""
     grid = vf.grid
     g_nodes, h_nodes = _reward_nodes(grid.nodes(), p)
-    ev = _quadrature(grid, model).matrix() @ vf.values
+    ev = _quadrature(grid, model).expect(vf.values)
     merged, actions, _ = _greedy(grid, ev, g_nodes, h_nodes, p.gamma, consts)
     return merged, actions
 
 
 def bvi_sweep(
     values: np.ndarray,
-    K: np.ndarray,
+    expect: Callable[[np.ndarray], np.ndarray],
     g_nodes: np.ndarray,
     h_nodes: np.ndarray,
     nodes: np.ndarray,
@@ -355,8 +341,9 @@ def bvi_sweep(
     top_index: int,
     step: float,
 ) -> np.ndarray:
-    """One synchronous sweep of plateau-bounded value iteration."""
-    ev = K @ values
+    """One synchronous sweep of plateau-bounded value iteration; expect(values)
+    gives E[V(node + X)] at every node."""
+    ev = expect(values)
     action_ok = nodes < consts.t0 - step - 1e-12
     q1 = np.where(action_ok, h_nodes + gamma * ev, -np.inf)
     qm = g_nodes + gamma * ev
@@ -383,14 +370,14 @@ def solve_bvi(
     start = time.perf_counter()
     nodes = grid.nodes()
     quad = _quadrature(grid, model)
-    K = quad.matrix()
     g_nodes, h_nodes = _reward_nodes(nodes, p)
     top_index = int(np.searchsorted(nodes, consts.theta_n + 1e-9) - 1)
     values = np.zeros(grid.size)
     iterations = 0
     while True:
         new = bvi_sweep(
-            values, K, g_nodes, h_nodes, nodes, p.gamma, consts, top_index, grid.step
+            values, quad.expect, g_nodes, h_nodes, nodes, p.gamma, consts, top_index,
+            grid.step,
         )
         delta = float(np.max(np.abs(new - values)))
         values = new
@@ -402,7 +389,7 @@ def solve_bvi(
                 f"value iteration did not converge in {max_sweeps} sweeps "
                 f"(last delta {delta:.3g})"
             )
-    _, _, policy = _greedy(grid, K @ values, g_nodes, h_nodes, p.gamma, consts)
+    _, _, policy = _greedy(grid, quad.expect(values), g_nodes, h_nodes, p.gamma, consts)
     if policy is None:
         raise SolverError("greedy policy never merges; grid does not bracket theta")
     vf = ValueFunction(grid, values)

@@ -166,7 +166,8 @@ def solve(
         scale = 1.0
         for _ in range(MAX_HALVINGS):
             trial = x + scale * direction
-            if trial[0] >= theta_cap or trial[0] <= theta_floor:
+            # No endpoint may reach t0, where the swept edges' integrand is singular.
+            if trial[0] >= theta_cap or trial[0] <= theta_floor or trial[1] >= theta_cap:
                 scale *= 0.5
                 continue
             # Move both endpoints by integrating only over the swept edges.

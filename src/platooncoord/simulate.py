@@ -341,6 +341,12 @@ def simulate(
 ) -> SimulationResult:
     """Run a single-junction day (or ``duration`` seconds) under one policy."""
     t_arr, x_arr = generate_arrivals(schedule, seed, duration)
+    return _run_day(t_arr, x_arr, policy, p, consts, seed)
+
+
+def _run_day(t_arr: np.ndarray, x_arr: np.ndarray, policy: PolicySpec, p: CostParams,
+             consts: CostConstants, seed: int) -> SimulationResult:
+    """The day loop of ``simulate`` over given detector times and gaps."""
     rts_state = (
         _RtsState(policy, p, consts) if isinstance(policy, RealTimeStrategy) else None
     )
@@ -398,13 +404,15 @@ def calibrate_policy_a(
     taus: np.ndarray | None = None,
 ) -> float:
     """Grid-search the inter-arrival threshold minimizing simulated average
-    cost on a calibration run at the given flow."""
+    cost on a calibration run at the given flow; every tau sees the same
+    arrivals, generated once."""
     if taus is None:
         taus = np.arange(0.0, 30.0 + 1e-9, 0.5)
+    t_arr, x_arr = generate_arrivals(schedule, seed, duration)
     best_tau = float(taus[0])
     best_ac = math.inf
     for tau in taus:
-        result = simulate(schedule, PolicyA(tau=float(tau)), p, consts, seed, duration)
+        result = _run_day(t_arr, x_arr, PolicyA(tau=float(tau)), p, consts, seed)
         if result.avg_cost is not None and result.avg_cost < best_ac:
             best_ac = result.avg_cost
             best_tau = float(tau)

@@ -190,7 +190,7 @@ def test_criterion_5_value_invariants(p, consts, bvi_runs):
             g_nodes, h_nodes = _reward_nodes(nodes, p)
             top = int(np.searchsorted(nodes, consts.theta_n + 1e-9) - 1)
             new = bvi_sweep(
-                v, quad.matrix(), g_nodes, h_nodes, nodes, p.gamma, consts, top,
+                v, quad.expect, g_nodes, h_nodes, nodes, p.gamma, consts, top,
                 REDUCED_GRID.step,
             )
             assert float(np.max(np.abs(new - v))) <= eps

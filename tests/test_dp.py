@@ -5,6 +5,7 @@ import pytest
 
 from platooncoord import (
     Constant,
+    DEFAULT_GRID,
     DiscreteRandom,
     Exponential,
     REDUCED_GRID,
@@ -21,7 +22,7 @@ from platooncoord import (
     solve_ra,
 )
 from platooncoord.cost import CostParams
-from platooncoord.dp import greedy_actions
+from platooncoord.dp import _quadrature, greedy_actions
 
 
 def test_grid_validation():
@@ -85,6 +86,29 @@ def test_expected_value_exponential_oracle():
     oracle = np.trapezoid(x * rate * np.exp(-rate * x), x) + n * np.exp(-rate * n)
     got = expected_value(vf, 0.0, Exponential(rate))
     assert got == pytest.approx(oracle, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        Exponential(0.01),
+        Exponential(0.02),
+        Exponential(0.05),
+        DiscreteRandom(atoms=((15.0, 0.4), (8.0, 0.6))),
+        Constant(10.0),
+    ],
+)
+def test_expect_matches_scalar_oracle(model):
+    grid = REDUCED_GRID
+    quad = _quadrature(grid, model)
+    rng = np.random.default_rng(7)
+    tables = [rng.normal(size=grid.size), rng.uniform(-100.0, 100.0, grid.size),
+              np.full(grid.size, -3.5)]
+    for v in tables:
+        vf = ValueFunction(grid, v)
+        oracle = np.array([expected_value(vf, float(a), model) for a in grid.nodes()])
+        # Relative to the table's scale: a signed table can average to ~0.
+        assert np.max(np.abs(quad.expect(v) - oracle)) <= 1e-12 * np.max(np.abs(v))
 
 
 def test_expected_value_outside_grid():
@@ -151,6 +175,22 @@ def test_constant_model_solvers_agree(p, consts):
     step = REDUCED_GRID.step
     assert abs(ra.policy.theta - bvi.policy.theta) <= step + 1e-9
     assert abs(ra.policy.c - bvi.policy.c) <= step + 1e-9
+
+
+@pytest.mark.parametrize("grid", [REDUCED_GRID, DEFAULT_GRID], ids=["reduced", "default"])
+@pytest.mark.parametrize(
+    "model",
+    [Constant(0.5), Constant(0.1), DiscreteRandom(atoms=((0.5, 0.5), (20.0, 0.5)))],
+)
+def test_ra_atoms_shorter_than_step(p, consts, grid, model):
+    # An atom shorter than the grid step weighs the node RA is computing.
+    ra = solve_ra(grid, model, p, consts).policy
+    bvi = solve_bvi(grid, model, p, consts).policy
+    step = grid.step
+    assert consts.c_n - step <= ra.theta <= consts.theta_n + step
+    assert consts.theta_n_prime - step <= ra.c <= consts.c_n + step
+    assert abs(ra.theta - bvi.theta) <= step + 1e-9
+    assert abs(ra.c - bvi.c) <= step + 1e-9
 
 
 def test_bvi_epsilon_validation(p, consts):

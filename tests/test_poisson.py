@@ -1,6 +1,12 @@
 """Closed-form solver: residual definitions, Newton behavior, value function."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,3 +190,32 @@ def test_value_non_increasing_on_c_n_to_theta(p, consts, sol):
     s = np.linspace(consts.c_n, sol.theta, 500)
     vals = np.array([closed_form_value(float(x), sol, p, consts) for x in s])
     assert (np.diff(vals) <= 1e-9).all()
+
+
+def test_warm_line_search_keeps_c_below_t0():
+    # From this warm start at d2 = 40 km, an unbounded Newton step puts the
+    # trial c past t0, and the swept-edge integral then refines across the
+    # speed singularity until memory runs out. Run it under an address-space
+    # cap so that a regression fails instead of exhausting the machine.
+    script = textwrap.dedent(
+        """
+        import json, resource
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        from platooncoord import CostParams, compute_constants, poisson
+        p = CostParams.from_config({"d2_km": 40.0})
+        consts = compute_constants(p)
+        rate = 0.00407137244649412
+        warm = poisson.solve(rate, p, consts, init=(25.958999568091897, -49.14524386759989))
+        cold = poisson.solve(rate, p, consts)
+        print(json.dumps([warm.theta, warm.c, cold.theta, cold.c]))
+        """
+    )
+    src = str(Path(poisson.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    theta, c, cold_theta, cold_c = json.loads(proc.stdout)
+    assert theta == pytest.approx(cold_theta, abs=1e-5)
+    assert c == pytest.approx(cold_c, abs=1e-5)

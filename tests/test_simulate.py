@@ -235,11 +235,15 @@ def test_rts_lazy_resolve_close_to_eager(p, consts):
 
 
 def test_calibrate_policy_a(p, consts):
-    tau = calibrate_policy_a(
-        flat_schedule(200.0), p, consts, seed=0, duration=21600.0,
-        taus=np.arange(0.0, 30.0 + 1e-9, 2.0),
-    )
-    assert 0.0 <= tau <= 30.0
+    schedule = flat_schedule(200.0)
+    taus = np.arange(0.0, 30.0 + 1e-9, 2.0)
+    tau = calibrate_policy_a(schedule, p, consts, seed=0, duration=21600.0, taus=taus)
+    costs = [
+        simulate(schedule, PolicyA(tau=float(t)), p, consts, seed=0, duration=21600.0).avg_cost
+        for t in taus
+    ]
+    assert len(set(costs)) > 1
+    assert tau == taus[int(np.argmin(costs))]
 
 
 def test_write_vehicle_csv(tmp_path, policy_b_run):
