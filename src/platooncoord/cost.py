@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Nominal case-study parameters, in ingestion units.
 NOMINAL_CONFIG = {
     "w1_per_hour": 25.8,
@@ -127,13 +129,20 @@ def _check_domain(s: float, p: CostParams) -> None:
         )
 
 
+def _merge_terms(s, p: CostParams):
+    """Merge reward G(s) and its derivative G'(s), for a scalar or an array
+    of time reductions. No domain check: callers keep s below t0."""
+    speed = p.d1 / (p.d1 / p.v - s)
+    g = p.w1 * s + p.w2 * (
+        p.alpha * p.d1 * p.v**2 - p.alpha * p.d1 * speed**2 + p.eta * p.phi * p.d2
+    )
+    return g, p.w1 - 2.0 * p.w2 * p.alpha * speed**3
+
+
 def reward_merge(s: float, p: CostParams) -> float:
     """Single-stage reward for merging with time reduction s [currency]."""
     _check_domain(s, p)
-    speed = p.d1 / (p.d1 / p.v - s)
-    return p.w1 * s + p.w2 * (
-        p.alpha * p.d1 * p.v**2 - p.alpha * p.d1 * speed**2 + p.eta * p.phi * p.d2
-    )
+    return _merge_terms(s, p)[0]
 
 
 def platoon_bonus(p: CostParams) -> float:
@@ -166,8 +175,7 @@ def reward(s: float, a: float, p: CostParams) -> float:
 def reward_merge_derivative(s: float, p: CostParams) -> float:
     """Derivative of the merge reward with respect to s [currency/s]."""
     _check_domain(s, p)
-    speed = p.d1 / (p.d1 / p.v - s)
-    return p.w1 - 2.0 * p.w2 * p.alpha * speed**3
+    return _merge_terms(s, p)[1]
 
 
 def reward_merge_second_derivative(s: float, p: CostParams) -> float:
@@ -177,50 +185,23 @@ def reward_merge_second_derivative(s: float, p: CostParams) -> float:
     return -6.0 * p.w2 * p.alpha * speed**4 / p.d1
 
 
-def _bisect(f, lo: float, hi: float, tol: float = 1e-9, max_iter: int = 200) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise RuntimeError(f"no sign change on bracket ({lo!r}, {hi!r})")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0 or hi - lo < tol:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
 def compute_constants(p: CostParams) -> CostConstants:
-    """Derive c_n (closed form), g0, and the two bracketing roots theta_n,
-    theta_n_prime of G(theta) = G(c_n) - g0."""
+    """Derive c_n, g0 and the roots theta_n, theta_n_prime of
+    G(theta) = G(c_n) - g0, all in closed form.
+
+    With u = t0 - s, u^2 (G(s) - level) is the cubic
+    -w1 u^3 + b u^2 - w2 alpha d1^3: negative at u = 0 and as u -> inf,
+    and g0 u^2 > 0 at u = t0 - c_n. Its two positive roots straddle
+    t0 - c_n; the nearer gives theta_n, the farther theta_n_prime.
+    """
     t0 = p.t0
     c_n = p.d1 * (1.0 / p.v - (2.0 * p.w2 * p.alpha / p.w1) ** (1.0 / 3.0))
     g0 = platoon_bonus(p)
     level = reward_merge(c_n, p) - g0
-
-    def shifted(s: float) -> float:
-        return reward_merge(s, p) - level
-
-    delta = 1e-6
-    theta_n = _bisect(shifted, c_n + delta, t0 - delta)
-
-    # G decreases without bound leftward, so double the bracket until it flips.
-    lo = c_n - 1.0
-    span = 1.0
-    while shifted(lo) > 0.0:
-        span *= 2.0
-        lo = c_n - span
-        if span > 1e9:
-            raise RuntimeError("failed to bracket the lower root")
-    theta_n_prime = _bisect(shifted, lo, c_n - delta)
-
+    b = p.w1 * t0 + p.w2 * (p.alpha * p.d1 * p.v**2 + p.eta * p.phi * p.d2) - level
+    roots = np.roots([-p.w1, b, 0.0, -p.w2 * p.alpha * p.d1**3])
+    u_near, u_far = np.sort(roots.real)[1:]  # the third root is negative
+    theta_n, theta_n_prime = float(t0 - u_near), float(t0 - u_far)
     return CostConstants(
         t0=t0, c_n=c_n, g0=g0, theta_n=theta_n, theta_n_prime=theta_n_prime
     )

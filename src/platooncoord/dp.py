@@ -19,6 +19,7 @@ from .cost import (
     CostConstants,
     CostParams,
     SINGULARITY_GUARD,
+    _merge_terms,
     platoon_bonus,
     reward_cruise,
     reward_merge,
@@ -38,6 +39,8 @@ class StateGrid:
     step: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.m, self.n, self.step])):
+            raise ValueError(f"grid bounds and step must be finite, got {self!r}")
         if not self.step > 0.0:
             raise ValueError(f"step must be positive, got {self.step!r}")
         if not self.m < self.n:
@@ -238,10 +241,7 @@ def _reward_nodes(nodes: np.ndarray, p: CostParams):
     is violated."""
     g = np.full(nodes.shape, np.nan)
     ok = nodes <= p.t0 - SINGULARITY_GUARD
-    speed = p.d1 / (p.d1 / p.v - nodes[ok])
-    g[ok] = p.w1 * nodes[ok] + p.w2 * (
-        p.alpha * p.d1 * p.v**2 - p.alpha * p.d1 * speed**2 + p.eta * p.phi * p.d2
-    )
+    g[ok] = _merge_terms(nodes[ok], p)[0]
     h = g - platoon_bonus(p)
     return g, h
 

@@ -17,6 +17,7 @@ from .cost import (
     CostParams,
     CostDomainError,
     SINGULARITY_GUARD,
+    _merge_terms,
     platoon_bonus,
     reward_merge,
     reward_merge_derivative,
@@ -43,14 +44,9 @@ class PoissonSolution:
 
 def _integrand(p: CostParams, rate: float):
     k = rate * (1.0 - p.gamma)
-    w1, w2, alpha, d1, v = p.w1, p.w2, p.alpha, p.d1, p.v
-    bonus_term = p.eta * p.phi * p.d2
-    base = d1 / v
 
     def f(t: np.ndarray) -> np.ndarray:
-        speed = d1 / (base - t)
-        g = w1 * t + w2 * (alpha * d1 * v**2 - alpha * d1 * speed**2 + bonus_term)
-        gprime = w1 - 2.0 * w2 * alpha * speed**3
+        g, gprime = _merge_terms(t, p)
         return np.exp(-k * t) * (gprime - rate * g)
 
     return f

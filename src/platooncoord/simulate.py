@@ -43,6 +43,8 @@ class FlowSchedule:
     def __post_init__(self):
         if len(self.rows) != 24:
             raise ValueError(f"expected 24 hourly rows, got {len(self.rows)}")
+        if [hour for hour, _, _ in self.rows] != list(range(24)):
+            raise ValueError("schedule rows must list hours 0..23 in order")
         if any(f1 < 0.0 or f2 < 0.0 for _, f1, f2 in self.rows):
             raise ValueError("flows must be non-negative")
         if not 0.0 < self.scale <= 1.0:
@@ -63,6 +65,8 @@ class FlowSchedule:
 
     def with_average_flow(self, flow_vph: float) -> "FlowSchedule":
         base = sum(f1 + f2 for _, f1, f2 in self.rows) / len(self.rows)
+        if base == 0.0:
+            raise ValueError("cannot rescale a schedule with no flow")
         return self.with_scale(flow_vph / base)
 
     @classmethod

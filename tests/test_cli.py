@@ -88,6 +88,15 @@ def test_solve_bad_grid_exit_code(capsys):
     assert code == 1
 
 
+def test_solve_non_finite_grid_exit_code(capsys):
+    code = main(
+        ["solve", "--solver", "ra", "--arrivals", "exponential:0.02",
+         "--grid=-50,inf,1"]
+    )
+    assert code == 1
+    assert "finite" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_solve_numerical_failure_exit_code(capsys):
     # No node of this grid lies in [c_n, theta_n], so recursive approximation
     # has no candidate threshold, which must surface as exit code 2.
@@ -137,6 +146,19 @@ def test_simulate_emit_vehicles(tmp_path):
 def test_simulate_policy_b_requires_thresholds(capsys):
     code = main(["simulate", "--policy", "b", "--scale", "0.02"])
     assert code == 1
+
+
+def test_simulate_zero_flow_schedule_exit_code(tmp_path, capsys):
+    schedule = tmp_path / "zero.csv"
+    schedule.write_text(
+        "hour,flow1_vph,flow2_vph\n" + "".join(f"{h},0,0\n" for h in range(24))
+    )
+    code = main(
+        ["simulate", "--policy", "baseline", "--schedule", str(schedule),
+         "--avg-flow", "10"]
+    )
+    assert code == 1
+    assert "no flow" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_simulate_seed_env_fallback(tmp_path, monkeypatch):

@@ -15,11 +15,14 @@ from platooncoord import (
     reward_merge,
     reward_merge_derivative,
 )
+from platooncoord import dp, poisson
 from platooncoord.cost import (
     NOMINAL_CONFIG,
+    SINGULARITY_GUARD,
     CostDomainError,
     reward_merge_second_derivative,
 )
+from platooncoord.dp import DEFAULT_GRID
 
 
 def test_nominal_ingestion_units(p):
@@ -153,14 +156,64 @@ def test_constants_ordering(consts):
     assert consts.theta_n_prime < consts.c_n < consts.theta_n < consts.t0
 
 
-def test_theta_roots_share_level(p, consts):
-    g_level = reward_merge(consts.c_n, p) - consts.g0
-    tol = 1e-8 * abs(reward_merge(consts.c_n, p)) + 1e-10
-    assert abs(reward_merge(consts.theta_n, p) - g_level) < 1e-6
-    assert abs(reward_merge(consts.theta_n_prime, p) - g_level) < 1e-6
-    assert abs(
-        reward_merge(consts.theta_n, p) - reward_merge(consts.theta_n_prime, p)
-    ) < max(tol, 2e-6)
+def _random_configs(count: int, seed: int) -> list[dict]:
+    """Log-uniform draws of every cost parameter over wide ranges."""
+    ranges = {
+        "w1_per_hour": (1.0, 200.0),
+        "w2_per_liter": (0.1, 5.0),
+        "alpha": (1e-8, 1e-5),
+        "eta": (0.01, 0.5),
+        "phi_l_per_100km": (5.0, 60.0),
+        "v_mps": (10.0, 40.0),
+        "d1_km": (0.2, 5.0),
+        "d2_km": (1.0, 200.0),
+    }
+    rng = np.random.default_rng(seed)
+    return [
+        {key: float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+         for key, (lo, hi) in ranges.items()}
+        for _ in range(count)
+    ]
+
+
+ROOT_CASES = {
+    "nominal": {},
+    # Far below any realistic value of time: c_n and theta_n' lie far out.
+    "tiny_w1": {"w1_per_hour": 1e-6},
+    # A vanishing platoon bonus: the two roots nearly meet at c_n.
+    "tiny_d2": {"d2_km": 1e-9},
+    **{f"draw{i:03d}": cfg for i, cfg in enumerate(_random_configs(200, seed=11))},
+}
+
+
+@pytest.mark.parametrize("config", ROOT_CASES.values(), ids=ROOT_CASES.keys())
+def test_theta_roots_share_level(config):
+    p = CostParams.from_config(config)
+    consts = compute_constants(p)
+    assert consts.theta_n_prime < consts.c_n < consts.theta_n < consts.t0
+    level = reward_merge(consts.c_n, p) - consts.g0
+    tol = 1e-9 * max(1.0, abs(level))
+    assert abs(reward_merge(consts.theta_n, p) - level) <= tol
+    assert abs(reward_merge(consts.theta_n_prime, p) - level) <= tol
+
+
+def test_array_and_scalar_rewards_agree(p):
+    nodes = DEFAULT_GRID.nodes()
+    g_nodes, _ = dp._reward_nodes(nodes, p)
+    feasible = nodes <= p.t0 - SINGULARITY_GUARD
+    assert np.isnan(g_nodes[~feasible]).all()
+    assert g_nodes[feasible].tolist() == [reward_merge(x, p) for x in nodes[feasible]]
+
+    rate = 0.02
+    k = rate * (1.0 - p.gamma)
+    t = np.linspace(-150.0, p.t0 - 1e-3, 2001)
+    scalar = [
+        math.exp(-k * x) * (reward_merge_derivative(x, p) - rate * reward_merge(x, p))
+        for x in t.tolist()
+    ]
+    # numpy's vectorised exp and power may round the last bit differently
+    # from the scalar libm calls.
+    np.testing.assert_allclose(poisson._integrand(p, rate)(t), scalar, rtol=1e-13)
 
 
 def test_constants_runtime():

@@ -34,6 +34,15 @@ def test_grid_validation():
         StateGrid(m=0.0, n=10.0, step=3.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("field", ["m", "n", "step"])
+def test_grid_rejects_non_finite(field, bad):
+    bounds = {"m": -50.0, "n": 150.0, "step": 1.0}
+    bounds[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        StateGrid(**bounds)
+
+
 def test_grid_nodes():
     grid = StateGrid(m=-2.0, n=2.0, step=1.0)
     assert grid.size == 5

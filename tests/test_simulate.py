@@ -42,6 +42,19 @@ def test_schedule_validation():
         flat_schedule(100.0).with_scale(0.0)
 
 
+def test_schedule_rows_must_list_hours_in_order():
+    rows = tuple((h, float(h), 0.0) for h in range(24))
+    with pytest.raises(ValueError, match="hours 0..23"):
+        FlowSchedule(rows=rows[::-1])
+    with pytest.raises(ValueError, match="hours 0..23"):
+        FlowSchedule(rows=((1, 0.0, 0.0),) + rows[1:])
+
+
+def test_zero_flow_schedule_cannot_be_rescaled():
+    with pytest.raises(ValueError, match="no flow"):
+        flat_schedule(0.0).with_average_flow(10.0)
+
+
 def test_schedule_rate_switches_at_hour_boundary():
     rows = [(h, 0.0, 0.0) for h in range(24)]
     rows[1] = (1, 1800.0, 1800.0)
