@@ -3,7 +3,9 @@ per-vehicle platooning policies.
 
 Arrivals are generated per hour from a flow schedule (merged Poisson
 stream of both branches); the predicted-headway state propagates through
-S_{k+1} = X_{k+1} + U_k with the realized time reduction U_k.
+S_{k+1} = X_{k+1} + U_k with the realized time reduction U_k. Decisions
+are made one vehicle at a time; fuel, time and cost are then accounted for
+the whole day at once, on arrays.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,7 +141,7 @@ class RealTimeStrategy:
 PolicySpec = Baseline | PolicyA | PolicyB | RealTimeStrategy
 
 
-@dataclass
+@dataclass(slots=True)
 class VehicleRecord:
     k: int
     t: float
@@ -241,6 +244,32 @@ def threshold_decision(
     return pol.c, False
 
 
+def _vehicle_costs(u, merged, p: CostParams):
+    """Speed, coordinating-zone fuel, cruise fuel, travel time and cost for
+    a scalar or an array of realized time reductions u and merge flags.
+
+    Raises ``ValueError`` if any u leaves a non-positive traversal time or
+    a speed above the cap.
+    """
+    traversal = p.d1 / p.v - u
+    if np.any(traversal <= 0.0):
+        raise ValueError(
+            f"time reduction {float(np.max(u))!r} implies non-positive traversal time"
+        )
+    speed = p.d1 / traversal
+    if np.any(speed > MAX_SPEED + 1e-9):
+        raise ValueError(f"speed {float(np.max(speed))!r} exceeds the cap {MAX_SPEED!r}")
+    coord_time = p.d1 / speed
+    coord_fuel = coord_time * fuel_rate(speed)
+    cruise_time = p.d2 / p.v
+    # Merged vehicles save the fraction eta of the cruise fuel; 1.0 - eta * False
+    # is exactly 1.0, so cruising vehicles keep the undiscounted value.
+    cruise_fuel = cruise_time * fuel_rate(p.v) * (1.0 - p.eta * merged)
+    travel_time = coord_time + cruise_time
+    cost = p.w2 * (coord_fuel + cruise_fuel) + p.w1 * travel_time
+    return speed, coord_fuel, cruise_fuel, travel_time, cost
+
+
 def account_costs(
     k: int,
     t: float,
@@ -251,17 +280,7 @@ def account_costs(
     p: CostParams,
 ) -> VehicleRecord:
     """Complete a vehicle record from its realized time reduction."""
-    speed = merge_speed(u, p)
-    if speed > MAX_SPEED + 1e-9:
-        raise ValueError(f"speed {speed!r} exceeds the cap {MAX_SPEED!r}")
-    coord_time = p.d1 / speed
-    coord_fuel = coord_time * fuel_rate(speed)
-    cruise_time = p.d2 / p.v
-    cruise_fuel = cruise_time * fuel_rate(p.v)
-    if merged:
-        cruise_fuel *= 1.0 - p.eta
-    travel_time = coord_time + cruise_time
-    cost = p.w2 * (coord_fuel + cruise_fuel) + p.w1 * travel_time
+    speed, coord_fuel, cruise_fuel, travel_time, cost = _vehicle_costs(u, merged, p)
     return VehicleRecord(
         k=k,
         t=t,
@@ -297,18 +316,29 @@ class _RtsState:
                 abs(rate - sol.rate) > self.spec.resolve_rel_change * sol.rate
             )
         if needs_solve:
-            init = (sol.theta, sol.c) if sol is not None else None
+            self.solution = self._solve(rate) or sol
+        if self.solution is None:
+            theta, c = self.consts.theta_n, self.consts.c_n
+        else:
+            theta, c = self.solution.theta, self.solution.c
+        u, merged = threshold_decision(ThresholdPolicy(theta=theta, c=c), s, self.p)
+        return u, merged, theta, c
+
+    def _solve(self, rate: float) -> poisson.PoissonSolution | None:
+        """Solve warm from the last good solution, retrying cold once if that
+        fails. ``None`` when no start converges: the vehicle then keeps the
+        last good (theta, c), or (theta_n, c_n) before the first success, and
+        the day goes on."""
+        if self.solution is not None:
+            init = (self.solution.theta, self.solution.c)
             try:
-                sol = poisson.solve(rate, self.p, self.consts, init=init)
+                return poisson.solve(rate, self.p, self.consts, init=init)
             except SolverError:
-                # A bad warm start can strand the iteration; retry cold once.
-                if init is None:
-                    raise
-                sol = poisson.solve(rate, self.p, self.consts, init=None)
-            self.solution = sol
-        pol = ThresholdPolicy(theta=sol.theta, c=sol.c)
-        u, merged = threshold_decision(pol, s, self.p)
-        return u, merged, sol.theta, sol.c
+                pass  # A bad warm start can strand the iteration; retry cold once.
+        try:
+            return poisson.solve(rate, self.p, self.consts, init=None)
+        except SolverError:
+            return None
 
 
 def apply_policy(
@@ -345,42 +375,26 @@ def simulate(
 ) -> SimulationResult:
     """Run a single-junction day (or ``duration`` seconds) under one policy."""
     t_arr, x_arr = generate_arrivals(schedule, seed, duration)
-    return _run_day(t_arr, x_arr, policy, p, consts, seed)
-
-
-def _run_day(t_arr: np.ndarray, x_arr: np.ndarray, policy: PolicySpec, p: CostParams,
-             consts: CostConstants, seed: int) -> SimulationResult:
-    """The day loop of ``simulate`` over given detector times and gaps."""
-    rts_state = (
-        _RtsState(policy, p, consts) if isinstance(policy, RealTimeStrategy) else None
-    )
-
-    records: list[VehicleRecord] = []
-    histogram: dict[int, int] = {}
-    platoon_size = 0
-    prev_u = 0.0
-    prev_s = math.inf
-    for k, (t, x) in enumerate(zip(t_arr, x_arr), start=1):
-        s = step_state(prev_s, prev_u, x) if k > 1 else x
-        u, merged, theta_k, c_k = apply_policy(policy, s, x, p, rts_state)
-        record = account_costs(k, t, x, s, u, merged, p)
-        record.theta = theta_k
-        record.c = c_k
-        records.append(record)
-        if merged and platoon_size > 0:
-            platoon_size += 1
-        else:
-            if platoon_size > 0:
-                histogram[platoon_size] = histogram.get(platoon_size, 0) + 1
-            platoon_size = 1
-        prev_u, prev_s = u, s
-    if platoon_size > 0:
-        histogram[platoon_size] = histogram.get(platoon_size, 0) + 1
-
-    n = len(records)
-    total_cost = sum(r.cost for r in records)
-    total_fuel = sum(r.coord_fuel + r.cruise_fuel for r in records)
-    total_time = sum(r.travel_time for r in records)
+    day = _run_day(x_arr, policy, p, consts)
+    n = day.n_vehicles
+    records = [
+        VehicleRecord(*row)
+        for row in zip(
+            range(1, n + 1),
+            t_arr.tolist(),
+            x_arr.tolist(),
+            day.s.tolist(),
+            day.u.tolist(),
+            day.merged.tolist(),
+            day.speed.tolist(),
+            day.coord_fuel.tolist(),
+            day.cruise_fuel.tolist(),
+            day.travel_time.tolist(),
+            day.cost.tolist(),
+            day.theta,
+            day.c,
+        )
+    ]
     span_km = (p.d1 + p.d2) / 1000.0
     return SimulationResult(
         policy_id=policy.name,
@@ -388,14 +402,96 @@ def _run_day(t_arr: np.ndarray, x_arr: np.ndarray, policy: PolicySpec, p: CostPa
         rng_algorithm=RNG_ALGORITHM,
         records=records,
         n_vehicles=n,
-        total_cost=total_cost,
-        total_fuel=total_fuel,
-        total_time=total_time,
-        avg_cost=total_cost / n if n else None,
-        avg_cost_per_km=total_cost / (n * span_km) if n else None,
-        avg_fuel=total_fuel / n if n else None,
-        avg_time=total_time / n if n else None,
-        platoon_histogram=histogram,
+        total_cost=day.total_cost,
+        total_fuel=day.total_fuel,
+        total_time=day.total_time,
+        avg_cost=day.avg_cost,
+        avg_cost_per_km=day.total_cost / (n * span_km) if n else None,
+        avg_fuel=day.total_fuel / n if n else None,
+        avg_time=day.total_time / n if n else None,
+        platoon_histogram=day.platoon_histogram,
+    )
+
+
+class _Day(NamedTuple):
+    """One simulated day as per-vehicle columns in arrival order."""
+
+    s: np.ndarray
+    u: np.ndarray
+    merged: np.ndarray
+    theta: list[float | None]
+    c: list[float | None]
+    speed: np.ndarray
+    coord_fuel: np.ndarray
+    cruise_fuel: np.ndarray
+    travel_time: np.ndarray
+    cost: np.ndarray
+
+    @property
+    def n_vehicles(self) -> int:
+        return len(self.u)
+
+    @property
+    def total_cost(self) -> float:
+        return float(self.cost.sum())
+
+    @property
+    def total_fuel(self) -> float:
+        return float((self.coord_fuel + self.cruise_fuel).sum())
+
+    @property
+    def total_time(self) -> float:
+        return float(self.travel_time.sum())
+
+    @property
+    def avg_cost(self) -> float | None:
+        return self.total_cost / self.n_vehicles if self.n_vehicles else None
+
+    @property
+    def platoon_histogram(self) -> dict[int, int]:
+        """Platoon size -> count. The first vehicle and every vehicle that
+        does not merge lead a platoon."""
+        n = self.n_vehicles
+        if n == 0:
+            return {}
+        leaders = np.flatnonzero(np.concatenate(([True], ~self.merged[1:])))
+        sizes, counts = np.unique(np.diff(leaders, append=n), return_counts=True)
+        return dict(zip(sizes.tolist(), counts.tolist()))
+
+
+def _run_day(x_arr: np.ndarray, policy: PolicySpec, p: CostParams,
+             consts: CostConstants) -> _Day:
+    """The day of ``simulate`` and ``calibrate_policy_a`` over given
+    detector gaps: one sequential decision per vehicle, then the costs of
+    the whole day at once."""
+    rts_state = (
+        _RtsState(policy, p, consts) if isinstance(policy, RealTimeStrategy) else None
+    )
+    s_k: list[float] = []
+    u_k: list[float] = []
+    merged_k: list[bool] = []
+    theta_k: list[float | None] = []
+    c_k: list[float | None] = []
+    # Before the first vehicle, S = inf and U = 0 make the recursion S_1 = X_1.
+    s, u = math.inf, 0.0
+    for x in x_arr.tolist():
+        s = step_state(s, u, x)
+        u, merged, theta, c = apply_policy(policy, s, x, p, rts_state)
+        s_k.append(s)
+        u_k.append(u)
+        merged_k.append(merged)
+        theta_k.append(theta)
+        c_k.append(c)
+    n = len(u_k)
+    u_arr = np.fromiter(u_k, float, n)
+    merged_arr = np.fromiter(merged_k, bool, n)
+    return _Day(
+        np.fromiter(s_k, float, n),
+        u_arr,
+        merged_arr,
+        theta_k,
+        c_k,
+        *_vehicle_costs(u_arr, merged_arr, p),
     )
 
 
@@ -409,16 +505,16 @@ def calibrate_policy_a(
 ) -> float:
     """Grid-search the inter-arrival threshold minimizing simulated average
     cost on a calibration run at the given flow; every tau sees the same
-    arrivals, generated once."""
+    arrivals, generated once, and no vehicle records are built."""
     if taus is None:
         taus = np.arange(0.0, 30.0 + 1e-9, 0.5)
-    t_arr, x_arr = generate_arrivals(schedule, seed, duration)
+    _, x_arr = generate_arrivals(schedule, seed, duration)
     best_tau = float(taus[0])
     best_ac = math.inf
     for tau in taus:
-        result = _run_day(t_arr, x_arr, PolicyA(tau=float(tau)), p, consts, seed)
-        if result.avg_cost is not None and result.avg_cost < best_ac:
-            best_ac = result.avg_cost
+        avg_cost = _run_day(x_arr, PolicyA(tau=float(tau)), p, consts).avg_cost
+        if avg_cost is not None and avg_cost < best_ac:
+            best_ac = avg_cost
             best_tau = float(tau)
     return best_tau
 

@@ -1,13 +1,22 @@
 """Junction simulation: arrivals, state recursion, policies, accounting."""
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from platooncoord import Baseline, FlowSchedule, PolicyA, PolicyB, RealTimeStrategy, simulate
-from platooncoord.dp import ThresholdPolicy
+from platooncoord import (
+    Baseline,
+    FlowSchedule,
+    PolicyA,
+    PolicyB,
+    RealTimeStrategy,
+    poisson,
+    simulate,
+)
+from platooncoord.dp import SolverError, ThresholdPolicy
 from platooncoord.simulate import (
     MAX_SPEED,
     SAFETY_REACTION_TIME,
@@ -21,6 +30,9 @@ from platooncoord.simulate import (
     threshold_decision,
     write_vehicle_csv,
 )
+
+# ``platooncoord.simulate`` is the function of that name, not the module.
+sim = importlib.import_module("platooncoord.simulate")
 
 
 def flat_schedule(total_vph: float) -> FlowSchedule:
@@ -247,16 +259,28 @@ def test_rts_lazy_resolve_close_to_eager(p, consts):
     assert lazy.avg_cost == pytest.approx(eager.avg_cost, rel=1e-3)
 
 
-def test_calibrate_policy_a(p, consts):
+def test_calibrate_policy_a(p, consts, monkeypatch):
     schedule = flat_schedule(200.0)
     taus = np.arange(0.0, 30.0 + 1e-9, 2.0)
+    run_day = sim._run_day
+    calibration = []
+
+    def spy(x_arr, policy, p, consts):
+        day = run_day(x_arr, policy, p, consts)
+        calibration.append((policy.tau, day.avg_cost))
+        return day
+
+    monkeypatch.setattr(sim, "_run_day", spy)
     tau = calibrate_policy_a(schedule, p, consts, seed=0, duration=21600.0, taus=taus)
+    monkeypatch.undo()
     costs = [
         simulate(schedule, PolicyA(tau=float(t)), p, consts, seed=0, duration=21600.0).avg_cost
         for t in taus
     ]
     assert len(set(costs)) > 1
     assert tau == taus[int(np.argmin(costs))]
+    # The calibration reads the same day core as ``simulate``, bit for bit.
+    assert calibration == list(zip(taus.tolist(), costs))
 
 
 def test_write_vehicle_csv(tmp_path, policy_b_run):
@@ -265,3 +289,149 @@ def test_write_vehicle_csv(tmp_path, policy_b_run):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "k,T,X,S,U,merged,v_k,fuel_L,time_s,cost"
     assert len(lines) - 1 == policy_b_run.n_vehicles
+
+
+def reference_day(schedule, policy, p, consts, seed, duration):
+    """The per-vehicle loop: one ``apply_policy`` and one scalar
+    ``account_costs`` call per vehicle, with a running platoon count."""
+    t_arr, x_arr = generate_arrivals(schedule, seed, duration)
+    rts_state = (
+        sim._RtsState(policy, p, consts) if isinstance(policy, RealTimeStrategy) else None
+    )
+    records, histogram = [], {}
+    platoon_size, prev_u, prev_s = 0, 0.0, math.inf
+    for k, (t, x) in enumerate(zip(t_arr.tolist(), x_arr.tolist()), start=1):
+        s = step_state(prev_s, prev_u, x) if k > 1 else x
+        u, merged, theta_k, c_k = apply_policy(policy, s, x, p, rts_state)
+        record = account_costs(k, t, x, s, u, merged, p)
+        record.theta, record.c = theta_k, c_k
+        records.append(record)
+        if merged and platoon_size > 0:
+            platoon_size += 1
+        else:
+            if platoon_size > 0:
+                histogram[platoon_size] = histogram.get(platoon_size, 0) + 1
+            platoon_size = 1
+        prev_u, prev_s = u, s
+    if platoon_size > 0:
+        histogram[platoon_size] = histogram.get(platoon_size, 0) + 1
+    return records, histogram
+
+
+EQUIVALENCE_CASES = [
+    (Baseline(), 86400.0),
+    (PolicyA(tau=0.0), 86400.0),
+    (PolicyA(tau=7.5), 86400.0),
+    (PolicyA(tau=18.5), 86400.0),
+    (PolicyA(tau=30.0), 86400.0),
+    (PolicyB(policy=ThresholdPolicy(theta=24.7, c=-36.0)), 86400.0),
+    (RealTimeStrategy(), 3600.0),
+]
+
+
+@pytest.mark.parametrize(
+    "policy, duration", EQUIVALENCE_CASES, ids=lambda case: getattr(case, "name", None)
+)
+def test_day_accounting_matches_per_vehicle_loop(p, consts, policy, duration):
+    schedule = flat_schedule(173.0)
+    result = simulate(schedule, policy, p, consts, seed=3, duration=duration)
+    records, histogram = reference_day(schedule, policy, p, consts, 3, duration)
+    assert len(result.records) == len(records) > 50
+    exact = ("k", "t", "x", "s", "u", "merged", "speed", "theta", "c")
+    for got, want in zip(result.records, records):
+        assert [getattr(got, f) for f in exact] == [getattr(want, f) for f in exact]
+        # numpy's vectorised speed**3 may differ from libm pow in the last bit.
+        for f in ("coord_fuel", "cruise_fuel", "travel_time", "cost"):
+            assert getattr(got, f) == pytest.approx(getattr(want, f), rel=1e-14, abs=0.0)
+    assert result.platoon_histogram == histogram
+    total_cost = sum(r.cost for r in records)
+    assert result.avg_cost == pytest.approx(total_cost / len(records), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        Baseline(),
+        PolicyA(tau=18.5),
+        PolicyB(policy=ThresholdPolicy(theta=24.7, c=-36.0)),
+        RealTimeStrategy(),
+    ],
+    ids=lambda policy: policy.name,
+)
+def test_results_hold_plain_floats(p, consts, policy):
+    result = simulate(flat_schedule(150.0), policy, p, consts, seed=1, duration=1800.0)
+    assert result.n_vehicles > 10
+    for value in (result.total_cost, result.total_fuel, result.total_time, result.avg_cost,
+                  result.avg_cost_per_km, result.avg_fuel, result.avg_time):
+        assert type(value) is float
+    floats = ("t", "x", "s", "u", "speed", "coord_fuel", "cruise_fuel", "travel_time", "cost")
+    for r in result.records:
+        assert all(type(getattr(r, f)) is float for f in floats)
+        assert type(r.merged) is bool
+        if not isinstance(policy, (Baseline, PolicyA)):
+            assert type(r.theta) is float and type(r.c) is float
+    assert all(type(k) is int and type(v) is int for k, v in result.platoon_histogram.items())
+
+
+def scripted_solve(monkeypatch, fails):
+    """Route ``poisson.solve`` through a log of (rate, init) calls; call
+    number n (from 1) raises ``SolverError`` when ``fails(n)``."""
+    real = poisson.solve
+    calls = []
+
+    def solve(rate, p, consts, init=None):
+        calls.append((rate, init))
+        if fails(len(calls)):
+            raise SolverError("scripted failure")
+        return real(rate, p, consts, init=init)
+
+    monkeypatch.setattr(poisson, "solve", solve)
+    return calls
+
+
+def rts_day(p, consts):
+    return simulate(flat_schedule(150.0), RealTimeStrategy(), p, consts, seed=1, duration=1200.0)
+
+
+def test_rts_retries_cold_after_failed_warm_solve(p, consts, monkeypatch):
+    # Call 10 is vehicle 10's warm solve; call 11 its cold retry.
+    calls = scripted_solve(monkeypatch, lambda n: n == 10)
+    result = rts_day(p, consts)
+    assert len(calls) == result.n_vehicles + 1
+    rate, init = calls[9]
+    assert init is not None and calls[10] == (rate, None)
+    monkeypatch.undo()
+    cold = poisson.solve(rate, p, consts)
+    assert (result.records[9].theta, result.records[9].c) == (cold.theta, cold.c)
+    assert calls[11][1] == (cold.theta, cold.c)
+
+
+def test_rts_keeps_last_good_pair_when_both_solves_fail(p, consts, monkeypatch):
+    calls = scripted_solve(monkeypatch, lambda n: n in (10, 11))
+    result = rts_day(p, consts)
+    assert len(calls) == result.n_vehicles + 1
+    last_good = (result.records[8].theta, result.records[8].c)
+    assert (result.records[9].theta, result.records[9].c) == last_good
+    # The last good pair stays the next vehicle's warm start.
+    assert calls[11][1] == last_good
+    assert (result.records[10].theta, result.records[10].c) != last_good
+
+
+def test_rts_uses_one_stage_pair_before_first_success(p, consts, monkeypatch):
+    calls = scripted_solve(monkeypatch, lambda n: n == 1)
+    result = rts_day(p, consts)
+    assert len(calls) == result.n_vehicles
+    first = result.records[0]
+    assert (first.theta, first.c) == (consts.theta_n, consts.c_n)
+    # No solution yet, so the second vehicle solves cold again.
+    assert calls[1][1] is None
+    assert result.records[1].theta != consts.theta_n
+
+
+def test_rts_does_not_swallow_other_errors(p, consts, monkeypatch):
+    def solve(rate, p, consts, init=None):
+        raise MemoryError("scripted")
+
+    monkeypatch.setattr(poisson, "solve", solve)
+    with pytest.raises(MemoryError):
+        rts_day(p, consts)
