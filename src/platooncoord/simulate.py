@@ -200,7 +200,7 @@ def generate_arrivals(
     restriction and restart at hour boundaries leave the process exact.
     """
     rng = make_rng(seed)
-    times: list[float] = []
+    chunks: list[np.ndarray] = []
     n_hours = int(math.ceil(duration / 3600.0))
     for hour in range(n_hours):
         start = 3600.0 * hour
@@ -208,13 +208,35 @@ def generate_arrivals(
         rate = schedule.rate_at(start)
         if rate <= 0.0:
             continue
-        t = start + rng.exponential(1.0 / rate)
-        while t < end:
-            times.append(t)
-            t += rng.exponential(1.0 / rate)
-    t_arr = np.array(times)
+        mean = (end - start) * rate
+        batch = int(mean + 6.0 * math.sqrt(mean)) + 8  # rarely exceeded
+        chunks.append(_hour_arrivals(rng, start, end, rate, batch))
+    t_arr = np.concatenate(chunks) if chunks else np.array([])
     x_arr = np.diff(t_arr, prepend=0.0)
     return t_arr, x_arr
+
+
+def _hour_arrivals(rng: np.random.Generator, start: float, end: float,
+                   rate: float, batch: int) -> np.ndarray:
+    """Arrival times in [start, end) at ``rate``, bit for bit those of
+    drawing one exponential gap at a time from ``start`` until a time
+    reaches ``end``, and leaving ``rng`` where those draws leave it.
+
+    Gaps are drawn ``batch`` at a time and summed in order (as t += gap);
+    the stream is then rewound and advanced by exactly the m + 1 draws of
+    the one-at-a-time loop: the m arrivals and the gap past ``end``.
+    """
+    scale = 1.0 / rate
+    state = rng.bit_generator.state
+    times = np.array([start])
+    while times[-1] < end:
+        gaps = rng.exponential(scale, size=batch)
+        gaps[0] += times[-1]
+        times = np.concatenate((times, np.cumsum(gaps)))
+    m = int(np.searchsorted(times, end)) - 1
+    rng.bit_generator.state = state
+    rng.exponential(scale, size=m + 1)
+    return times[1 : m + 1]
 
 
 def step_state(prev_s: float, applied_u: float, next_x: float) -> float:
@@ -505,18 +527,62 @@ def calibrate_policy_a(
 ) -> float:
     """Grid-search the inter-arrival threshold minimizing simulated average
     cost on a calibration run at the given flow; every tau sees the same
-    arrivals, generated once, and no vehicle records are built."""
+    arrivals, generated once, and no vehicle records are built. The first
+    tau listed wins a tie."""
     if taus is None:
         taus = np.arange(0.0, 30.0 + 1e-9, 0.5)
+    if len(taus) == 0:
+        raise ValueError("taus must hold at least one threshold")
     _, x_arr = generate_arrivals(schedule, seed, duration)
     best_tau = float(taus[0])
     best_ac = math.inf
-    for tau in taus:
-        avg_cost = _run_day(x_arr, PolicyA(tau=float(tau)), p, consts).avg_cost
+    for tau, avg_cost in zip(taus, _policy_a_average_costs(x_arr, taus, p, consts)):
         if avg_cost is not None and avg_cost < best_ac:
             best_ac = avg_cost
             best_tau = float(tau)
     return best_tau
+
+
+def _policy_a_average_costs(x_arr: np.ndarray, taus, p: CostParams,
+                            consts: CostConstants) -> list[float | None]:
+    """``_run_day(x_arr, PolicyA(tau), p, consts).avg_cost`` for each tau in
+    order, bit for bit, from one full day.
+
+    Moving the threshold from tau_prev to tau changes Policy A's answer for a
+    given S only at vehicles whose gap x has (x < tau_prev) != (x < tau).
+    From each such vehicle the day is re-decided, with S = X + U of the
+    vehicle before, until a vehicle's (U, merged) equals the previous day's:
+    from there every S, and so every decision, agrees again up to the next
+    such vehicle. Each tau's patched day is then priced in full."""
+    policies = [PolicyA(tau=float(tau)) for tau in taus]
+    day = _run_day(x_arr, policies[0], p, consts)
+    u, merged = day.u.copy(), day.merged.copy()
+    averages = [day.avg_cost]
+    gaps = x_arr.tolist()
+    n = len(gaps)
+    for prev, policy in zip(policies, policies[1:]):
+        flips = np.flatnonzero((x_arr < prev.tau) != (x_arr < policy.tau)).tolist()
+        redecided_to = 0  # vehicles before this one already hold this tau's decision
+        changed = False
+        for k in flips:
+            if k < redecided_to:
+                continue
+            prev_u = u.item(k - 1) if k else 0.0
+            for j in range(k, n):
+                x = gaps[j]
+                new_u, new_merged, _, _ = apply_policy(policy, x + prev_u, x, p)
+                if new_u == u.item(j) and new_merged == merged.item(j):
+                    break
+                u[j], merged[j] = new_u, new_merged
+                prev_u = new_u
+                changed = True
+            redecided_to = j + 1
+        if not changed:
+            averages.append(averages[-1])  # no decision changed: the same day
+            continue
+        cost = _vehicle_costs(u, merged, p)[-1]
+        averages.append(float(cost.sum()) / n)
+    return averages
 
 
 def write_vehicle_csv(path, result: SimulationResult) -> None:

@@ -16,6 +16,7 @@ from platooncoord import (
     poisson,
     simulate,
 )
+from platooncoord.arrivals import make_rng
 from platooncoord.dp import SolverError, ThresholdPolicy
 from platooncoord.simulate import (
     MAX_SPEED,
@@ -96,6 +97,68 @@ def test_no_arrivals_in_zero_flow_hour():
     t, _ = generate_arrivals(schedule, seed=3)
     in_hour_5 = (t >= 5 * 3600.0) & (t < 6 * 3600.0)
     assert not in_hour_5.any()
+
+
+def scalar_hour(rng, start, end, rate):
+    """One exponential gap at a time from ``start`` until a time reaches ``end``."""
+    times = []
+    t = start + rng.exponential(1.0 / rate)
+    while t < end:
+        times.append(t)
+        t += rng.exponential(1.0 / rate)
+    return times
+
+
+def scalar_arrivals(schedule, seed, duration=86400.0):
+    """The one-draw-at-a-time arrival generator, kept as an oracle."""
+    rng = make_rng(seed)
+    times = []
+    for hour in range(int(math.ceil(duration / 3600.0))):
+        start = 3600.0 * hour
+        rate = schedule.rate_at(start)
+        if rate > 0.0:
+            times += scalar_hour(rng, start, min(start + 3600.0, duration), rate)
+    t_arr = np.array(times)
+    return t_arr, np.diff(t_arr, prepend=0.0)
+
+
+def gappy_schedule():
+    rows = [(h, 40.0 * h, 25.0 * (24 - h)) for h in range(24)]
+    for h in (0, 5, 6, 23):
+        rows[h] = (h, 0.0, 0.0)
+    return FlowSchedule(rows=tuple(rows))
+
+
+@pytest.mark.parametrize(
+    "schedule, duration",
+    [
+        (flat_schedule(10.0), 86400.0),
+        (flat_schedule(173.0), 86400.0),
+        (FlowSchedule.bundled().with_average_flow(1500.0), 86400.0),
+        (gappy_schedule(), 86400.0),
+        (gappy_schedule(), 5000.0),  # partial last hour
+        (flat_schedule(173.0), 1800.0),
+        (flat_schedule(173.0), 0.0),
+    ],
+    ids=["10vph", "173vph", "bundled-1500vph", "zero-flow-hours", "partial-last-hour",
+         "half-hour", "empty"],
+)
+def test_generate_arrivals_matches_scalar_draws(schedule, duration):
+    for seed in range(4):
+        t, x = generate_arrivals(schedule, seed, duration)
+        t_ref, x_ref = scalar_arrivals(schedule, seed, duration)
+        assert np.array_equal(t, t_ref) and np.array_equal(x, x_ref)
+        assert t.dtype == x.dtype == np.float64
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 200])
+def test_hour_arrivals_leaves_the_stream_where_scalar_draws_do(batch):
+    # Small batches take the path that draws more than one batch per hour.
+    rng, ref = make_rng(11), make_rng(11)
+    for start, end, rate in ((0.0, 3600.0, 0.05), (3600.0, 3700.0, 0.3), (7200.0, 7200.5, 1.0)):
+        times = sim._hour_arrivals(rng, start, end, rate, batch)
+        assert times.tolist() == scalar_hour(ref, start, end, rate)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_step_state_examples():
@@ -259,28 +322,47 @@ def test_rts_lazy_resolve_close_to_eager(p, consts):
     assert lazy.avg_cost == pytest.approx(eager.avg_cost, rel=1e-3)
 
 
-def test_calibrate_policy_a(p, consts, monkeypatch):
-    schedule = flat_schedule(200.0)
-    taus = np.arange(0.0, 30.0 + 1e-9, 2.0)
-    run_day = sim._run_day
-    calibration = []
-
-    def spy(x_arr, policy, p, consts):
-        day = run_day(x_arr, policy, p, consts)
-        calibration.append((policy.tau, day.avg_cost))
-        return day
-
-    monkeypatch.setattr(sim, "_run_day", spy)
-    tau = calibrate_policy_a(schedule, p, consts, seed=0, duration=21600.0, taus=taus)
-    monkeypatch.undo()
+def check_calibration(p, consts, flow, taus):
+    """The calibrated tau is the argmin of ``simulate``'s average costs, and
+    the calibration's own averages equal them bit for bit."""
+    schedule = flat_schedule(flow)
+    duration = 21600.0
+    tau = calibrate_policy_a(schedule, p, consts, seed=0, duration=duration, taus=taus)
     costs = [
-        simulate(schedule, PolicyA(tau=float(t)), p, consts, seed=0, duration=21600.0).avg_cost
+        simulate(schedule, PolicyA(tau=float(t)), p, consts, seed=0, duration=duration).avg_cost
         for t in taus
     ]
-    assert len(set(costs)) > 1
     assert tau == taus[int(np.argmin(costs))]
-    # The calibration reads the same day core as ``simulate``, bit for bit.
-    assert calibration == list(zip(taus.tolist(), costs))
+    _, x_arr = generate_arrivals(schedule, 0, duration)
+    assert sim._policy_a_average_costs(x_arr, taus, p, consts) == costs
+    return costs
+
+
+def test_calibrate_policy_a(p, consts):
+    costs = check_calibration(p, consts, 200.0, np.arange(0.0, 30.0 + 1e-9, 2.0))
+    assert len(set(costs)) > 1
+
+
+@pytest.mark.parametrize(
+    "flow, taus",
+    [
+        (200.0, np.array([25.0, 3.0, 17.5, 0.0, 30.0, 3.0, 18.47, 18.5])),
+        (200.0, np.array([7.0])),
+        (1500.0, np.arange(0.0, 30.0 + 1e-9, 2.5)),  # the longest re-decided stretches
+    ],
+    ids=["unsorted-repeated", "single", "1500vph"],
+)
+def test_calibrate_policy_a_other_grids(p, consts, flow, taus):
+    check_calibration(p, consts, flow, taus)
+
+
+def test_calibrate_policy_a_rejects_bad_taus(p, consts):
+    schedule = flat_schedule(200.0)
+    with pytest.raises(ValueError, match="at least one"):
+        calibrate_policy_a(schedule, p, consts, seed=0, duration=3600.0, taus=np.array([]))
+    with pytest.raises(ValueError, match="tau must be >= 0"):
+        calibrate_policy_a(schedule, p, consts, seed=0, duration=3600.0,
+                           taus=np.array([5.0, -1.0]))
 
 
 def test_write_vehicle_csv(tmp_path, policy_b_run):
