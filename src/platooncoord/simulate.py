@@ -4,16 +4,19 @@ per-vehicle platooning policies.
 Arrivals are generated per hour from a flow schedule (merged Poisson
 stream of both branches); the predicted-headway state propagates through
 S_{k+1} = X_{k+1} + U_k with the realized time reduction U_k. Decisions
-are made one vehicle at a time; fuel, time and cost are then accounted for
-the whole day at once, on arrays.
+are made one vehicle at a time through a decision rule bound once per day;
+fuel, time and cost are then accounted for the whole day at once, on
+arrays, and vehicle records are built only when they are read.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -113,6 +116,8 @@ class PolicyA:
     name: str = field(default="policy_a", init=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau!r}")
         if self.tau < 0.0:
             raise ValueError(f"tau must be >= 0, got {self.tau!r}")
 
@@ -123,6 +128,12 @@ class PolicyB:
 
     policy: ThresholdPolicy
     name: str = field(default="policy_b", init=False)
+
+    def __post_init__(self):
+        for name in ("theta", "c"):
+            value = getattr(self.policy, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -158,12 +169,50 @@ class VehicleRecord:
     c: float | None = None
 
 
+class VehicleRecords(Sequence):
+    """A day's vehicle records in arrival order, built from the day's
+    columns each time they are read; no record is kept."""
+
+    def __init__(self, t: np.ndarray, x: np.ndarray, day: _Day):
+        self._arrays = (t, x, day.s, day.u, day.merged, day.speed, day.coord_fuel,
+                        day.cruise_fuel, day.travel_time, day.cost)
+        self._theta, self._c = day.theta, day.c
+
+    def __len__(self) -> int:
+        return len(self._theta)
+
+    def rows(self) -> Iterator[tuple]:
+        """Each record's field values in order, as plain Python values,
+        without building the records."""
+        lists = [a.tolist() for a in self._arrays]
+        return zip(range(1, len(self) + 1), *lists, self._theta, self._c)
+
+    def __iter__(self) -> Iterator[VehicleRecord]:
+        return starmap(VehicleRecord, self.rows())
+
+    def __eq__(self, other) -> bool:
+        # Equal to the same records as a list, so equal results stay equal.
+        if isinstance(other, (VehicleRecords, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self)
+        i = index + n if index < 0 else index
+        if not 0 <= i < n:
+            raise IndexError("vehicle record index out of range")
+        return VehicleRecord(i + 1, *(a.item(i) for a in self._arrays),
+                             self._theta[i], self._c[i])
+
+
 @dataclass
 class SimulationResult:
     policy_id: str
     seed: int
     rng_algorithm: str
-    records: list[VehicleRecord]
+    records: VehicleRecords
     n_vehicles: int
     total_cost: float
     total_fuel: float
@@ -199,6 +248,8 @@ def generate_arrivals(
     Each hour is an independent Poisson stream at that hour's scaled rate;
     restriction and restart at hour boundaries leave the process exact.
     """
+    if not (math.isfinite(duration) and duration >= 0.0):
+        raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
     rng = make_rng(seed)
     chunks: list[np.ndarray] = []
     n_hours = int(math.ceil(duration / 3600.0))
@@ -259,11 +310,68 @@ def threshold_decision(
 ) -> tuple[float, bool]:
     """Realized (U, merged) for a threshold policy, including the safety
     buffer on merges and the speed-cap fallback to cruising."""
-    if s <= pol.theta:
-        u = s - SAFETY_REACTION_TIME
-        if merge_speed(u, p) <= MAX_SPEED:
-            return u, True
-    return pol.c, False
+    return _threshold_rule(pol.theta, pol.c, p)(s, None)
+
+
+_Rule = Callable[[float, float], tuple[float, bool]]
+"""One vehicle's decision: (S_k, X_k) -> realized (U_k, merged)."""
+
+
+def _threshold_rule(theta: float, c: float, p: CostParams) -> _Rule:
+    """``threshold_decision`` with (theta, c) and the constants bound; the
+    merge branch computes ``merge_speed(u, p)`` as t0 = d1 / v, d1 / (t0 - u)."""
+    t0, d1 = p.t0, p.d1
+    reaction, cap = SAFETY_REACTION_TIME, MAX_SPEED
+
+    def rule(s, x):
+        if s <= theta:
+            u = s - reaction
+            denom = t0 - u
+            if denom <= 0.0:
+                raise ValueError(f"time reduction {u!r} implies non-positive traversal time")
+            if d1 / denom <= cap:
+                return u, True
+        return c, False
+
+    return rule
+
+
+def _policy_a_rule(tau: float, p: CostParams) -> _Rule:
+    """Merge by accelerating the whole predicted headway when the gap is
+    below tau and the merge speed stays under the cap. With 0 <= s < t0 the
+    traversal time t0 - s of ``merge_speed(s, p)`` is positive, so it cannot
+    raise here."""
+    t0, d1 = p.t0, p.d1
+    cap = MAX_SPEED
+
+    def rule(s, x):
+        if x < tau and 0.0 <= s < t0 and d1 / (t0 - s) <= cap:
+            return s, True
+        return 0.0, False
+
+    return rule
+
+
+def _baseline_rule(s: float, x: float) -> tuple[float, bool]:
+    return 0.0, 0.0 <= s <= SAFETY_REACTION_TIME
+
+
+def _decision_rule(policy: PolicySpec, p: CostParams) -> _Rule:
+    """The rule of a fixed (non-adaptive) policy, bound once per day."""
+    if isinstance(policy, Baseline):
+        return _baseline_rule
+    if isinstance(policy, PolicyA):
+        return _policy_a_rule(policy.tau, p)
+    if isinstance(policy, PolicyB):
+        return _threshold_rule(policy.policy.theta, policy.policy.c, p)
+    raise TypeError(f"unknown policy spec: {policy!r}")
+
+
+def _fixed_thresholds(policy: PolicySpec) -> tuple[float | None, float | None]:
+    """The (theta_k, c_k) a fixed policy records for every vehicle."""
+    if isinstance(policy, PolicyB):
+        return policy.policy.theta, policy.policy.c
+    return None, None
 
 
 def _vehicle_costs(u, merged, p: CostParams):
@@ -371,20 +479,12 @@ def apply_policy(
     rts_state: _RtsState | None = None,
 ) -> tuple[float, bool, float | None, float | None]:
     """Realized (U, merged, theta_k, c_k) for one vehicle."""
-    if isinstance(policy, Baseline):
-        return 0.0, 0.0 <= s <= SAFETY_REACTION_TIME, None, None
-    if isinstance(policy, PolicyA):
-        if x < policy.tau and 0.0 <= s < p.t0 and merge_speed(s, p) <= MAX_SPEED:
-            return s, True, None, None
-        return 0.0, False, None, None
-    if isinstance(policy, PolicyB):
-        u, merged = threshold_decision(policy.policy, s, p)
-        return u, merged, policy.policy.theta, policy.policy.c
     if isinstance(policy, RealTimeStrategy):
         if rts_state is None:
             raise ValueError("real-time strategy requires solver state")
         return rts_state.decide(s, x)
-    raise TypeError(f"unknown policy spec: {policy!r}")
+    u, merged = _decision_rule(policy, p)(s, x)
+    return (u, merged, *_fixed_thresholds(policy))
 
 
 def simulate(
@@ -399,30 +499,12 @@ def simulate(
     t_arr, x_arr = generate_arrivals(schedule, seed, duration)
     day = _run_day(x_arr, policy, p, consts)
     n = day.n_vehicles
-    records = [
-        VehicleRecord(*row)
-        for row in zip(
-            range(1, n + 1),
-            t_arr.tolist(),
-            x_arr.tolist(),
-            day.s.tolist(),
-            day.u.tolist(),
-            day.merged.tolist(),
-            day.speed.tolist(),
-            day.coord_fuel.tolist(),
-            day.cruise_fuel.tolist(),
-            day.travel_time.tolist(),
-            day.cost.tolist(),
-            day.theta,
-            day.c,
-        )
-    ]
     span_km = (p.d1 + p.d2) / 1000.0
     return SimulationResult(
         policy_id=policy.name,
         seed=seed,
         rng_algorithm=RNG_ALGORITHM,
-        records=records,
+        records=VehicleRecords(t_arr, x_arr, day),
         n_vehicles=n,
         total_cost=day.total_cost,
         total_fuel=day.total_fuel,
@@ -484,27 +566,35 @@ class _Day(NamedTuple):
 def _run_day(x_arr: np.ndarray, policy: PolicySpec, p: CostParams,
              consts: CostConstants) -> _Day:
     """The day of ``simulate`` and ``calibrate_policy_a`` over given
-    detector gaps: one sequential decision per vehicle, then the costs of
-    the whole day at once."""
-    rts_state = (
-        _RtsState(policy, p, consts) if isinstance(policy, RealTimeStrategy) else None
-    )
+    detector gaps: one sequential decision per vehicle through a rule bound
+    once for the day, then the costs of the whole day at once."""
+    gaps = x_arr.tolist()
+    n = len(gaps)
+    if isinstance(policy, RealTimeStrategy):
+        decide = _RtsState(policy, p, consts).decide
+        theta_k: list[float | None] = []
+        c_k: list[float | None] = []
+
+        def rule(s, x):
+            u, merged, theta, c = decide(s, x)
+            theta_k.append(theta)
+            c_k.append(c)
+            return u, merged
+    else:
+        rule = _decision_rule(policy, p)
+        theta, c = _fixed_thresholds(policy)
+        theta_k, c_k = [theta] * n, [c] * n
     s_k: list[float] = []
     u_k: list[float] = []
     merged_k: list[bool] = []
-    theta_k: list[float | None] = []
-    c_k: list[float | None] = []
     # Before the first vehicle, S = inf and U = 0 make the recursion S_1 = X_1.
     s, u = math.inf, 0.0
-    for x in x_arr.tolist():
+    for x in gaps:
         s = step_state(s, u, x)
-        u, merged, theta, c = apply_policy(policy, s, x, p, rts_state)
+        u, merged = rule(s, x)
         s_k.append(s)
         u_k.append(u)
         merged_k.append(merged)
-        theta_k.append(theta)
-        c_k.append(c)
-    n = len(u_k)
     u_arr = np.fromiter(u_k, float, n)
     merged_arr = np.fromiter(merged_k, bool, n)
     return _Day(
@@ -557,29 +647,35 @@ def _policy_a_average_costs(x_arr: np.ndarray, taus, p: CostParams,
     policies = [PolicyA(tau=float(tau)) for tau in taus]
     day = _run_day(x_arr, policies[0], p, consts)
     u, merged = day.u.copy(), day.merged.copy()
+    # The decisions are read and patched as lists; each tau's changes then
+    # reach the arrays in one indexed assignment before pricing.
+    u_k, merged_k = day.u.tolist(), day.merged.tolist()
     averages = [day.avg_cost]
     gaps = x_arr.tolist()
     n = len(gaps)
     for prev, policy in zip(policies, policies[1:]):
+        rule = _decision_rule(policy, p)
         flips = np.flatnonzero((x_arr < prev.tau) != (x_arr < policy.tau)).tolist()
         redecided_to = 0  # vehicles before this one already hold this tau's decision
-        changed = False
+        changed: list[int] = []
         for k in flips:
             if k < redecided_to:
                 continue
-            prev_u = u.item(k - 1) if k else 0.0
+            prev_u = u_k[k - 1] if k else 0.0
             for j in range(k, n):
                 x = gaps[j]
-                new_u, new_merged, _, _ = apply_policy(policy, x + prev_u, x, p)
-                if new_u == u.item(j) and new_merged == merged.item(j):
+                new_u, new_merged = rule(x + prev_u, x)
+                if new_u == u_k[j] and new_merged == merged_k[j]:
                     break
-                u[j], merged[j] = new_u, new_merged
+                u_k[j], merged_k[j] = new_u, new_merged
                 prev_u = new_u
-                changed = True
+                changed.append(j)
             redecided_to = j + 1
         if not changed:
             averages.append(averages[-1])  # no decision changed: the same day
             continue
+        u[changed] = [u_k[j] for j in changed]
+        merged[changed] = [merged_k[j] for j in changed]
         cost = _vehicle_costs(u, merged, p)[-1]
         averages.append(float(cost.sum()) / n)
     return averages
@@ -591,18 +687,19 @@ def write_vehicle_csv(path, result: SimulationResult) -> None:
         writer.writerow(
             ["k", "T", "X", "S", "U", "merged", "v_k", "fuel_L", "time_s", "cost"]
         )
-        for r in result.records:
+        for (k, t, x, s, u, merged, speed, coord_fuel, cruise_fuel, travel_time, cost,
+             _, _) in result.records.rows():
             writer.writerow(
                 [
-                    r.k,
-                    f"{r.t:.6f}",
-                    f"{r.x:.6f}",
-                    f"{r.s:.6f}",
-                    f"{r.u:.6f}",
-                    int(r.merged),
-                    f"{r.speed:.6f}",
-                    f"{r.coord_fuel + r.cruise_fuel:.8f}",
-                    f"{r.travel_time:.6f}",
-                    f"{r.cost:.8f}",
+                    k,
+                    f"{t:.6f}",
+                    f"{x:.6f}",
+                    f"{s:.6f}",
+                    f"{u:.6f}",
+                    int(merged),
+                    f"{speed:.6f}",
+                    f"{coord_fuel + cruise_fuel:.8f}",
+                    f"{travel_time:.6f}",
+                    f"{cost:.8f}",
                 ]
             )

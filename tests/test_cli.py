@@ -219,3 +219,45 @@ def test_bench_report(tmp_path):
     assert rows[0]["grid"] == "[-50.0,150.0]/1.0"
     assert float(rows[0]["poisson_s"]) > 0.0
     assert rows[1]["poisson_s"] == ""  # closed form needs exponential arrivals
+
+
+@pytest.mark.parametrize(
+    "policy_args, name",
+    [
+        (["--policy", "a", "--tau", "nan"], "tau"),
+        (["--policy", "a", "--tau", "inf"], "tau"),
+        (["--policy", "b", "--theta", "nan", "--c", "-30"], "theta"),
+        (["--policy", "b", "--theta", "24.7", "--c=-inf"], "c"),
+    ],
+    ids=["tau-nan", "tau-inf", "theta-nan", "c-inf"],
+)
+def test_simulate_non_finite_policy_parameter_exit_code(tmp_path, capsys, policy_args, name):
+    code, out = run(tmp_path, "simulate", *policy_args, "--scale", "0.02", "--duration", "3600")
+    assert code == 1
+    assert not out.exists()
+    assert f"{name} must be finite" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("duration", ["-5", "nan", "inf"])
+@pytest.mark.parametrize("policy", ["baseline", "a"])
+def test_simulate_bad_duration_exit_code(tmp_path, capsys, policy, duration):
+    code, out = run(tmp_path, "simulate", "--policy", policy, "--scale", "0.02",
+                    f"--duration={duration}")
+    assert code == 1
+    assert not out.exists()
+    assert "duration" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_compare_bad_duration_exit_code(tmp_path, capsys):
+    code = main(["compare", "--scales", "0.01", "--seeds", "0", "--duration=-5",
+                 "-o", str(tmp_path / "table.csv")])
+    assert code == 1
+    assert "duration" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_simulate_zero_duration(tmp_path):
+    code, out = run(tmp_path, "simulate", "--policy", "baseline", "--scale", "0.02",
+                    "--duration", "0")
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["n_vehicles"] == 0 and doc["avg_cost"] is None

@@ -1,5 +1,6 @@
 """Junction simulation: arrivals, state recursion, policies, accounting."""
 
+import csv
 import dataclasses
 import importlib
 import math
@@ -517,3 +518,261 @@ def test_rts_does_not_swallow_other_errors(p, consts, monkeypatch):
     monkeypatch.setattr(poisson, "solve", solve)
     with pytest.raises(MemoryError):
         rts_day(p, consts)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda v: PolicyA(tau=v), "tau"),
+        (lambda v: PolicyB(policy=ThresholdPolicy(theta=v, c=-36.0)), "theta"),
+        (lambda v: PolicyB(policy=ThresholdPolicy(theta=24.7, c=v)), "c"),
+    ],
+    ids=["policy_a-tau", "policy_b-theta", "policy_b-c"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_policy_specs_reject_non_finite_parameters(make, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make(value)
+
+
+@pytest.mark.parametrize("duration", [-5.0, -1e-9, math.nan, math.inf, -math.inf])
+def test_bad_duration_is_rejected(p, consts, duration):
+    schedule = flat_schedule(173.0)
+    with pytest.raises(ValueError, match="duration"):
+        generate_arrivals(schedule, 0, duration)
+    with pytest.raises(ValueError, match="duration"):
+        simulate(schedule, Baseline(), p, consts, seed=0, duration=duration)
+    with pytest.raises(ValueError, match="duration"):
+        calibrate_policy_a(schedule, p, consts, seed=0, duration=duration)
+
+
+def test_zero_duration_is_an_empty_day(p, consts):
+    schedule = flat_schedule(173.0)
+    result = simulate(schedule, PolicyA(tau=18.5), p, consts, seed=0, duration=0.0)
+    assert result.n_vehicles == len(result.records) == 0
+    assert list(result.records) == [] and result.records[:] == []
+    assert calibrate_policy_a(schedule, p, consts, seed=0, duration=0.0) == 0.0
+
+
+ALL_POLICIES = [
+    (Baseline(), 86400.0),
+    (PolicyA(tau=18.5), 86400.0),
+    (PolicyB(policy=ThresholdPolicy(theta=24.7, c=-36.0)), 86400.0),
+    (RealTimeStrategy(), 1800.0),
+]
+
+
+def eager_records(schedule, policy, p, consts, seed, duration):
+    """Every record built at once from the day's columns."""
+    t_arr, x_arr = generate_arrivals(schedule, seed, duration)
+    day = sim._run_day(x_arr, policy, p, consts)
+    columns = (t_arr, x_arr, day.s, day.u, day.merged, day.speed, day.coord_fuel,
+               day.cruise_fuel, day.travel_time, day.cost)
+    return [
+        sim.VehicleRecord(k, *row)
+        for k, row in enumerate(zip(*(a.tolist() for a in columns), day.theta, day.c), start=1)
+    ]
+
+
+@pytest.fixture
+def count_records(monkeypatch):
+    """Route record construction through a counting subclass."""
+    built = []
+
+    class Counted(sim.VehicleRecord):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(sim, "VehicleRecord", Counted)
+    return built
+
+
+@pytest.mark.parametrize(
+    "policy, duration", ALL_POLICIES, ids=lambda case: getattr(case, "name", None)
+)
+def test_records_are_built_only_when_read(p, consts, count_records, policy, duration):
+    schedule = flat_schedule(173.0)
+    result = simulate(schedule, policy, p, consts, seed=3, duration=duration)
+    result.to_json()
+    assert count_records == []
+    records = result.records
+    n = len(records)
+    assert n == result.n_vehicles > 50
+    assert count_records == []
+    read = [dataclasses.astuple(r) for r in records]
+    assert count_records == list(range(1, n + 1))
+    eager = eager_records(schedule, policy, p, consts, 3, duration)
+    assert read == [dataclasses.astuple(r) for r in eager]
+    # Records compare as the list they hold, so equal results stay equal.
+    again = simulate(schedule, policy, p, consts, seed=3, duration=duration)
+    assert records == eager and again == result
+    # Reading again builds new records with the same values.
+    assert [dataclasses.astuple(r) for r in result.records] == read
+    for i in (0, 1, n // 2, n - 1, -1, -n):
+        assert dataclasses.astuple(records[i]) == read[i]
+    assert [dataclasses.astuple(r) for r in records[5:40:3]] == read[5:40:3]
+    assert [dataclasses.astuple(r) for r in records[::-1]] == read[::-1]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            records[i]
+
+
+def per_record_csv(path, result):
+    """The writer that formats one ``VehicleRecord`` at a time, kept as an oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "T", "X", "S", "U", "merged", "v_k", "fuel_L", "time_s", "cost"])
+        for r in result.records:
+            writer.writerow([
+                r.k, f"{r.t:.6f}", f"{r.x:.6f}", f"{r.s:.6f}", f"{r.u:.6f}", int(r.merged),
+                f"{r.speed:.6f}", f"{r.coord_fuel + r.cruise_fuel:.8f}",
+                f"{r.travel_time:.6f}", f"{r.cost:.8f}",
+            ])
+
+
+@pytest.mark.parametrize(
+    "policy, duration", ALL_POLICIES, ids=lambda case: getattr(case, "name", None)
+)
+def test_vehicle_csv_matches_per_record_writer(tmp_path, p, consts, policy, duration):
+    result = simulate(flat_schedule(173.0), policy, p, consts, seed=3, duration=duration)
+    write_vehicle_csv(tmp_path / "columns.csv", result)
+    per_record_csv(tmp_path / "records.csv", result)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+
+
+def oracle_decision(policy, s, x, p):
+    """One vehicle's (U, merged) written out per policy through ``merge_speed``,
+    as the day loop decided before its rules were bound once per day."""
+    if isinstance(policy, Baseline):
+        return 0.0, 0.0 <= s <= SAFETY_REACTION_TIME
+    if isinstance(policy, PolicyA):
+        if x < policy.tau and 0.0 <= s < p.t0 and merge_speed(s, p) <= MAX_SPEED:
+            return s, True
+        return 0.0, False
+    pol = policy.policy
+    if s <= pol.theta:
+        u = s - SAFETY_REACTION_TIME
+        if merge_speed(u, p) <= MAX_SPEED:
+            return u, True
+    return pol.c, False
+
+
+def outcome(decide, *args):
+    """A decision's answer, or its error's type and message."""
+    try:
+        return decide(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def edge_states(p):
+    """Headways at every boundary the fixed rules test, with their neighbours."""
+    cap_s = p.t0 - p.d1 / MAX_SPEED  # Policy A merges up to this headway
+    points = [0.0, SAFETY_REACTION_TIME, cap_s, cap_s + SAFETY_REACTION_TIME, p.t0,
+              p.t0 + SAFETY_REACTION_TIME, 20.0, 24.7, 30.0]
+    states = [-0.5, 1.0, 10.0, 60.0]
+    for point in points:
+        states += [np.nextafter(point, -math.inf), point, np.nextafter(point, math.inf)]
+    return [float(s) for s in states]
+
+
+FIXED_POLICIES = [
+    Baseline(),
+    PolicyA(tau=18.5),
+    PolicyA(tau=0.0),
+    PolicyB(policy=ThresholdPolicy(theta=24.7, c=-36.0)),
+    PolicyB(policy=ThresholdPolicy(theta=100.0, c=-36.0)),  # merges past t0 raise
+    PolicyB(policy=ThresholdPolicy(theta=-5.0, c=50.0)),
+    PolicyB(policy=ThresholdPolicy(theta=20.0, c=-0.5)),  # merges up to theta under the cap
+]
+
+
+def fixed_policy_id(policy):
+    if isinstance(policy, PolicyA):
+        return f"policy_a-{policy.tau}"
+    if isinstance(policy, PolicyB):
+        return f"policy_b-{policy.policy.theta}-{policy.policy.c}"
+    return policy.name
+
+
+@pytest.mark.parametrize("policy", FIXED_POLICIES, ids=fixed_policy_id)
+def test_fixed_rules_match_the_per_vehicle_decision(p, policy):
+    rule = sim._decision_rule(policy, p)
+    thresholds = (
+        (policy.policy.theta, policy.policy.c) if isinstance(policy, PolicyB) else (None, None)
+    )
+    for s in edge_states(p):
+        for x in (s, 1.0, 18.5, 40.0):
+            want = outcome(oracle_decision, policy, s, x, p)
+            assert outcome(rule, s, x) == want
+            got = outcome(apply_policy, policy, s, x, p)
+            assert got == (want if want[0] is ValueError else (*want, *thresholds))
+            if isinstance(policy, PolicyB):
+                assert outcome(threshold_decision, policy.policy, s, p) == want
+
+
+def test_fixed_rule_boundaries(p):
+    below_t0 = float(np.nextafter(p.t0, 0.0))
+    # Policy A just below t0 needs a speed far above the cap: it cruises.
+    assert apply_policy(PolicyA(tau=18.5), below_t0, 1.0, p) == (0.0, False, None, None)
+    assert apply_policy(PolicyA(tau=18.5), p.t0, 1.0, p) == (0.0, False, None, None)
+    # Baseline merges at exactly the safety reaction time, not beyond it.
+    assert apply_policy(Baseline(), SAFETY_REACTION_TIME, 9.0, p)[:2] == (0.0, True)
+    above = float(np.nextafter(SAFETY_REACTION_TIME, math.inf))
+    assert apply_policy(Baseline(), above, 9.0, p)[:2] == (0.0, False)
+    # Policy B falls back to cruising once merging would exceed the speed cap.
+    cap_s = p.t0 - p.d1 / MAX_SPEED + SAFETY_REACTION_TIME
+    pol = ThresholdPolicy(theta=30.0, c=-36.0)
+    assert threshold_decision(pol, cap_s - 1e-6, p)[1] is True
+    assert threshold_decision(pol, cap_s + 1e-6, p) == (-36.0, False)
+    with pytest.raises(ValueError, match="non-positive traversal time"):
+        threshold_decision(ThresholdPolicy(theta=100.0, c=-36.0), 46.0, p)
+
+
+def oracle_day(x_arr, policy, p):
+    """(S, U, merged) per vehicle from ``step_state`` and ``oracle_decision``."""
+    rows, s, u = [], math.inf, 0.0
+    for x in x_arr.tolist():
+        s = step_state(s, u, x)
+        u, merged = oracle_decision(policy, s, x, p)
+        rows.append((s, u, merged))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "policy, message",
+    [
+        (PolicyB(policy=ThresholdPolicy(theta=24.7, c=50.0)),
+         "applied time reduction cannot exceed the headway"),
+        (PolicyB(policy=ThresholdPolicy(theta=100.0, c=-36.0)),
+         "implies non-positive traversal time"),
+    ],
+    ids=["c-above-headway", "merge-past-t0"],
+)
+def test_day_errors_match_the_per_vehicle_loop(p, consts, policy, message):
+    schedule = flat_schedule(173.0)
+    _, x_arr = generate_arrivals(schedule, 3, 86400.0)
+    with pytest.raises(ValueError, match=message) as want:
+        oracle_day(x_arr, policy, p)
+    with pytest.raises(ValueError, match=message) as got:
+        simulate(schedule, policy, p, consts, seed=3)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("policy", FIXED_POLICIES[:4], ids=fixed_policy_id)
+def test_fixed_policy_days_match_the_per_vehicle_loop(p, consts, policy):
+    schedule = FlowSchedule.bundled().with_average_flow(600.0)
+    for seed in range(2):
+        _, x_arr = generate_arrivals(schedule, seed)
+        result = simulate(schedule, policy, p, consts, seed)
+        assert [(r.s, r.u, r.merged) for r in result.records] == oracle_day(x_arr, policy, p)
+
+
+def test_calibration_at_gap_valued_taus(p, consts):
+    # Thresholds equal to observed gaps sit exactly on the (x < tau) boundary.
+    _, x_arr = generate_arrivals(flat_schedule(200.0), 0, 21600.0)
+    gaps = np.sort(x_arr[(x_arr > 2.0) & (x_arr < 30.0)])
+    check_calibration(p, consts, 200.0, np.concatenate(([0.0], gaps[::25])))
