@@ -1,7 +1,12 @@
-"""Renewal inter-arrival models and the discounted arrival-rate estimator."""
+"""Renewal inter-arrival models and the discounted arrival-rate estimator.
+
+The models are validated parameter records. The solvers in ``dp`` and the
+day generator in ``simulate`` own each family's maths.
+"""
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -16,6 +21,11 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Exponential:
     """Exponential inter-arrival times (Poisson arrivals) with rate [veh/s]."""
@@ -23,24 +33,7 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise ValueError(f"rate must be positive, got {self.rate!r}")
-
-    def density(self, x: float) -> float:
-        if x < 0.0:
-            raise ValueError("inter-arrival times are non-negative")
-        return self.rate * np.exp(-self.rate * x)
-
-    def tail_mass(self, x: float) -> float:
-        if x < 0.0:
-            raise ValueError("inter-arrival times are non-negative")
-        return float(np.exp(-self.rate * x))
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(1.0 / self.rate))
-
-    def mean(self) -> float:
-        return 1.0 / self.rate
+        _check_positive("rate", self.rate)
 
 
 @dataclass(frozen=True)
@@ -54,36 +47,12 @@ class DiscreteRandom:
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise ValueError("at least one atom required")
-        if any(h <= 0.0 for h, _ in atoms):
-            raise ValueError("headways must be positive")
-        if any(prob <= 0.0 for _, prob in atoms):
-            raise ValueError("probabilities must be positive")
+        for h, prob in atoms:
+            _check_positive("headway", h)
+            _check_positive("probability", prob)
         total = sum(prob for _, prob in atoms)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
-
-    def density(self, x: float) -> float:
-        """Point mass at x (not a density in the continuous sense)."""
-        if x < 0.0:
-            raise ValueError("inter-arrival times are non-negative")
-        return sum(prob for h, prob in self.atoms if h == x)
-
-    def tail_mass(self, x: float) -> float:
-        if x < 0.0:
-            raise ValueError("inter-arrival times are non-negative")
-        return sum(prob for h, prob in self.atoms if h > x)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        u = rng.random()
-        acc = 0.0
-        for h, prob in self.atoms:
-            acc += prob
-            if u < acc:
-                return h
-        return self.atoms[-1][0]
-
-    def mean(self) -> float:
-        return sum(h * prob for h, prob in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -93,24 +62,7 @@ class Constant:
     headway: float
 
     def __post_init__(self):
-        if not self.headway > 0.0:
-            raise ValueError(f"headway must be positive, got {self.headway!r}")
-
-    def density(self, x: float) -> float:
-        if x < 0.0:
-            raise ValueError("inter-arrival times are non-negative")
-        return 1.0 if x == self.headway else 0.0
-
-    def tail_mass(self, x: float) -> float:
-        if x < 0.0:
-            raise ValueError("inter-arrival times are non-negative")
-        return 1.0 if x < self.headway else 0.0
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.headway
-
-    def mean(self) -> float:
-        return self.headway
+        _check_positive("headway", self.headway)
 
 
 ArrivalModel = Exponential | DiscreteRandom | Constant
@@ -156,23 +108,19 @@ class RateEstimator:
 
     beta: float = 0.9
     m_steps: int = 50
-    _window: deque = field(default_factory=deque, repr=False)
+    _window: deque = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta!r}")
         if self.m_steps < 1:
             raise ValueError(f"m_steps must be >= 1, got {self.m_steps!r}")
-        self._window = deque(self._window, maxlen=self.m_steps)
+        self._window = deque(maxlen=self.m_steps)
 
     def observe(self, headway: float) -> None:
         if not headway > 0.0:
             raise ValueError(f"headway must be positive, got {headway!r}")
         self._window.appendleft(headway)
-
-    @property
-    def count(self) -> int:
-        return len(self._window)
 
     def estimate(self) -> float:
         """Estimated arrival rate [veh/s]."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -100,13 +101,14 @@ def _seed_from(args) -> int:
     return int(env) if env else 0
 
 
-def _run_meta(args, seed: int | None = None) -> dict:
-    skip = {"func", "output", "emit_vehicles"}
-    payload = json.dumps(
-        {k: v for k, v in sorted(vars(args).items()) if k not in skip},
-        default=str,
-        sort_keys=True,
-    )
+def _run_meta(args, p: CostParams, seed: int | None = None) -> dict:
+    """Version, seed and a hash of the resolved inputs: the cost parameters
+    stand in for --config, --gamma and --d2-km, and the seed for
+    $PLATOON_DP_SEED."""
+    skip = {"func", "output", "emit_vehicles", "config", "gamma", "d2_km", "seed"}
+    inputs = {k: v for k, v in vars(args).items() if k not in skip}
+    inputs.update(cost_params=dataclasses.asdict(p), seed=seed)
+    payload = json.dumps(inputs, default=str, sort_keys=True)
     meta = {
         "version": __version__,
         "config_hash": hashlib.sha256(payload.encode()).hexdigest()[:16],
@@ -167,7 +169,7 @@ def cmd_solve(args) -> int:
     consts = compute_constants(p)
     model = parse_arrival_spec(args.arrivals)
     grid = _grid_from(args)
-    out = _run_meta(args)
+    out = _run_meta(args, p)
     out["arrivals"] = model_to_json(model)
     out["solver"] = args.solver
     if args.solver == "poisson":
@@ -209,7 +211,7 @@ def cmd_simulate(args) -> int:
     schedule = _schedule_from(args)
     policy = _policy_from(args, schedule, p, consts, seed)
     result = simulate(schedule, policy, p, consts, seed, duration=args.duration)
-    out = _run_meta(args, seed)
+    out = _run_meta(args, p, seed)
     out.update(result.to_json())
     out["avg_flow_vph"] = schedule.average_flow()
     if isinstance(policy, PolicyA):

@@ -8,6 +8,7 @@ threshold structure to avoid iteration entirely.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -163,9 +164,15 @@ class _AtomQuadrature:
 
     def __init__(self, grid: StateGrid, atoms):
         self.size = grid.size
+        top = self.size - 1
         self.atoms = []
         for h, prob in atoms:
             pos = h / grid.step
+            if pos >= top:
+                # At or beyond the grid span the atom weighs V(n) exactly; a
+                # huge frac would cancel catastrophically.
+                self.atoms.append((prob, top, 0.0))
+                continue
             base = int(pos)
             self.atoms.append((prob, base, pos - base))
 
@@ -355,6 +362,9 @@ def bvi_sweep(
     return new
 
 
+# Both solvers test their own results for non-finite values and raise
+# SolverError, so numpy's floating-point warnings would only repeat that.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_bvi(
     grid: StateGrid,
     model: ArrivalModel,
@@ -382,6 +392,8 @@ def solve_bvi(
         delta = float(np.max(np.abs(new - values)))
         values = new
         iterations += 1
+        if not math.isfinite(delta):
+            raise SolverError(f"value iteration diverged: sweep {iterations} delta is {delta!r}")
         if delta < epsilon:
             break
         if iterations >= max_sweeps:
@@ -403,6 +415,7 @@ def solve_bvi(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as solve_bvi
 def solve_ra(
     grid: StateGrid,
     model: ArrivalModel,
@@ -432,8 +445,12 @@ def solve_ra(
         quad.backward_values(values, ti, g_nodes, p.gamma)
         peak_idx = int(np.argmax(values))
         residual = abs(values[peak_idx] - (z_i + g0))
+        if not math.isfinite(residual):
+            continue
         if best is None or residual <= best[0]:
             best = (residual, ti, peak_idx, z_i, values)
+    if best is None:
+        raise SolverError("no candidate threshold gives a finite value function")
 
     _, ti, peak_idx, z_i, values = best
     policy = ThresholdPolicy(theta=float(nodes[ti]), c=float(nodes[peak_idx]))

@@ -410,20 +410,7 @@ def account_costs(
     p: CostParams,
 ) -> VehicleRecord:
     """Complete a vehicle record from its realized time reduction."""
-    speed, coord_fuel, cruise_fuel, travel_time, cost = _vehicle_costs(u, merged, p)
-    return VehicleRecord(
-        k=k,
-        t=t,
-        x=x,
-        s=s,
-        u=u,
-        merged=merged,
-        speed=speed,
-        coord_fuel=coord_fuel,
-        cruise_fuel=cruise_fuel,
-        travel_time=travel_time,
-        cost=cost,
-    )
+    return VehicleRecord(k, t, x, s, u, merged, *_vehicle_costs(u, merged, p))
 
 
 class _RtsState:

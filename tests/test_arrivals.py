@@ -1,56 +1,12 @@
-"""Arrival models, sampling, serialization, and the rate estimator."""
+"""Arrival models, serialization, and the rate estimator."""
+
+from collections import deque
 
 import numpy as np
 import pytest
 
 from platooncoord import Constant, DiscreteRandom, Exponential, RateEstimator, make_rng
 from platooncoord.arrivals import atoms_of, model_from_json, model_to_json
-
-
-def test_exponential_density_at_zero():
-    assert Exponential(0.02).density(0.0) == pytest.approx(0.02)
-
-
-def test_exponential_density_integrates_to_one():
-    from platooncoord.quadrature import adaptive_simpson
-
-    model = Exponential(0.02)
-    density = np.vectorize(model.density)
-    for horizon in (10.0, 100.0, 1000.0):
-        mass = adaptive_simpson(density, 0.0, horizon, 1e-12)
-        assert mass + model.tail_mass(horizon) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_exponential_tail():
-    model = Exponential(0.05)
-    assert model.tail_mass(0.0) == 1.0
-    assert model.tail_mass(20.0) == pytest.approx(np.exp(-1.0))
-
-
-def test_exponential_sample_mean():
-    model = Exponential(0.02)
-    rng = make_rng(0)
-    draws = np.array([model.sample(rng) for _ in range(10**6)])
-    assert draws.mean() == pytest.approx(50.0, abs=0.5)
-
-
-def test_constant_model():
-    model = Constant(10.0)
-    rng = make_rng(1)
-    assert model.density(10.0) == 1.0
-    assert model.density(9.0) == 0.0
-    assert model.tail_mass(20.0) == 0.0
-    assert model.tail_mass(5.0) == 1.0
-    assert all(model.sample(rng) == 10.0 for _ in range(5))
-    assert model.mean() == 10.0
-
-
-def test_discrete_frequencies():
-    model = DiscreteRandom(atoms=((15.0, 0.4), (8.0, 0.6)))
-    rng = make_rng(2)
-    draws = np.array([model.sample(rng) for _ in range(10**6)])
-    assert np.mean(draws == 15.0) == pytest.approx(0.4, abs=0.005)
-    assert model.mean() == pytest.approx(15.0 * 0.4 + 8.0 * 0.6)
 
 
 def test_discrete_validation():
@@ -118,6 +74,9 @@ def test_estimator_rejects_bad_input():
         est.estimate()
     with pytest.raises(ValueError):
         RateEstimator(beta=1.0)
+    # The window is filled only through observe, which checks each headway.
+    with pytest.raises(TypeError):
+        RateEstimator(_window=deque([-1.0]))
 
 
 def test_estimator_long_run_average():

@@ -35,6 +35,33 @@ def test_parse_arrival_spec_errors(capsys):
     assert "error" in json.loads(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("solver", ["ra", "bvi"])
+@pytest.mark.parametrize(
+    "spec",
+    ["constant:inf", "discrete:inf:1", "exponential:inf", "discrete:15:0.4,8:nan",
+     "discrete:nan:1"],
+)
+def test_non_finite_arrival_spec_is_a_usage_error(capsys, spec, solver):
+    code = main(["solve", "--solver", solver, "--arrivals", spec, GRID])
+    assert code == 1
+    assert "must be finite and positive" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_config_hash_follows_config_contents(tmp_path):
+    def config_hash(config, name):
+        path = tmp_path / name
+        path.write_text(json.dumps(config))
+        _, out = run(
+            tmp_path, "solve", "--solver", "ra", "--arrivals", "exponential:0.02",
+            GRID, "--config", str(path),
+        )
+        return json.loads(out.read_text())["config_hash"]
+
+    low = config_hash({"gamma": 0.5}, "a.json")
+    assert config_hash({"gamma": 0.95}, "a.json") != low
+    assert config_hash({"gamma": 0.5}, "b.json") == low
+
+
 def test_solve_poisson_json(tmp_path):
     code, out = run(
         tmp_path, "solve", "--solver", "poisson", "--arrivals", "exponential:0.02"

@@ -212,6 +212,29 @@ def test_bvi_sweep_cap(p, consts):
         solve_bvi(REDUCED_GRID, Exponential(0.02), p, consts, max_sweeps=5)
 
 
+@pytest.mark.parametrize("solver", [solve_bvi, solve_ra])
+def test_overflowing_rate_raises_solver_error(p, consts, solver):
+    # Exponential(1e308) overflows the expectation operator, so the first
+    # sweeps and every RA candidate are non-finite.
+    with pytest.raises(SolverError, match="finite|diverged"):
+        solver(REDUCED_GRID, Exponential(1e308), p, consts)
+
+
+@pytest.mark.parametrize("headway", [1e300, np.finfo(float).max])
+@pytest.mark.parametrize("solver", [solve_bvi, solve_ra])
+def test_atom_beyond_grid_span_weighs_top_value(p, consts, solver, headway):
+    # An atom at or past the span (200 s here) weighs exactly V(n), so any
+    # longer headway solves as one equal to the span.
+    grid = StateGrid(m=-50.0, n=150.0, step=0.5)
+    far = solver(grid, Constant(headway), p, consts)
+    at_span = solver(grid, Constant(grid.n - grid.m), p, consts)
+    assert far.policy == at_span.policy
+    assert far.iterations == at_span.iterations
+    assert np.array_equal(far.value_function.values, at_span.value_function.values)
+    assert consts.c_n - grid.step <= far.policy.theta <= consts.theta_n + grid.step
+    assert consts.theta_n_prime - grid.step <= far.policy.c <= consts.c_n + grid.step
+
+
 def test_greedy_structure(p, consts, bvi_exp):
     merged, actions = greedy_actions(
         bvi_exp.value_function, Exponential(0.02), p, consts
