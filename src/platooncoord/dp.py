@@ -112,7 +112,9 @@ class _ExponentialQuadrature:
         spans = grid.size - 1 - np.arange(grid.size)  # intervals from node i to the top
         # tail[i] = P(X > spans[i] * step); the density there is rate * tail[i].
         self.tail = np.exp(-rate * step * spans)
-        inner = np.where(spans >= 2, r * (1.0 - r ** np.maximum(spans - 1, 0)) / (1.0 - r), 0.0)
+        # inner = sum_{j=1}^{spans-1} r^j, whose ratio form is 0/0 once r rounds to 1.
+        k = np.maximum(spans - 1, 0)
+        inner = r * (1.0 - r**k) / (1.0 - r) if r < 1.0 else k.astype(float)
         trap = np.where(spans >= 1, step * rate * (0.5 + inner + 0.5 * self.tail), 0.0)
         self.mass = trap + self.tail
 
@@ -137,8 +139,9 @@ class _ExponentialQuadrature:
         """Fill values[i] = G_i + gamma * E[V] for i below top_index, in place.
 
         The running discounted sum over higher nodes makes each node O(1).
-        The zero-offset trapezoid endpoint would reference the value being
-        computed; it is replaced by one-sided extrapolation from above.
+        The zero-offset trapezoid endpoint weighs node i itself, with weight
+        step * f0 / (2 * mass_i); that term is linear in values[i], so it is
+        solved for instead of read before it is written.
         """
         size = self.grid.size
         step = self.grid.step
@@ -150,13 +153,9 @@ class _ExponentialQuadrature:
             running = r * (f0 * values[i + 1] + running)
             if i >= top_index:
                 continue
-            if i + 2 < size:
-                v_self = 2.0 * values[i + 1] - values[i + 2]
-            else:
-                v_self = values[i + 1]
-            raw = step * (0.5 * f0 * v_self + running - 0.5 * f0 * self.tail[i] * v_top)
-            ev = (raw + self.tail[i] * v_top) / self.mass[i]
-            values[i] = g_nodes[i] + gamma * ev
+            rest = step * (running - 0.5 * f0 * self.tail[i] * v_top) + self.tail[i] * v_top
+            scale = 1.0 - gamma * step * f0 / (2.0 * self.mass[i])
+            values[i] = (g_nodes[i] + gamma * rest / self.mass[i]) / scale
 
 
 class _AtomQuadrature:

@@ -4,9 +4,11 @@ per-vehicle platooning policies.
 Arrivals are generated per hour from a flow schedule (merged Poisson
 stream of both branches); the predicted-headway state propagates through
 S_{k+1} = X_{k+1} + U_k with the realized time reduction U_k. Decisions
-are made one vehicle at a time through a decision rule bound once per day;
-fuel, time and cost are then accounted for the whole day at once, on
-arrays, and vehicle records are built only when they are read.
+are made one vehicle at a time through a decision rule bound once per day,
+or, under the real-time strategy, per vehicle to thresholds solved from the
+day's headways before any vehicle decides; fuel, time and cost are then
+accounted for the whole day at once, on arrays, and vehicle records are
+built only when they are read.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import starmap
+from itertools import repeat, starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -147,6 +149,13 @@ class RealTimeStrategy:
     # amount; 0 re-solves on every arrival.
     resolve_rel_change: float = 0.0
     name: str = field(default="rts", init=False)
+
+    def __post_init__(self):
+        RateEstimator(beta=self.beta, m_steps=self.m_steps)  # raises on a bad beta or m_steps
+        if not (math.isfinite(self.resolve_rel_change) and self.resolve_rel_change >= 0.0):
+            raise ValueError(
+                f"resolve_rel_change must be finite and >= 0, got {self.resolve_rel_change!r}"
+            )
 
 
 PolicySpec = Baseline | PolicyA | PolicyB | RealTimeStrategy
@@ -305,21 +314,15 @@ def merge_speed(u: float, p: CostParams) -> float:
     return p.d1 / denom
 
 
-def threshold_decision(
-    pol: ThresholdPolicy, s: float, p: CostParams
-) -> tuple[float, bool]:
-    """Realized (U, merged) for a threshold policy, including the safety
-    buffer on merges and the speed-cap fallback to cruising."""
-    return _threshold_rule(pol.theta, pol.c, p)(s, None)
-
-
 _Rule = Callable[[float, float], tuple[float, bool]]
 """One vehicle's decision: (S_k, X_k) -> realized (U_k, merged)."""
 
 
 def _threshold_rule(theta: float, c: float, p: CostParams) -> _Rule:
-    """``threshold_decision`` with (theta, c) and the constants bound; the
-    merge branch computes ``merge_speed(u, p)`` as t0 = d1 / v, d1 / (t0 - u)."""
+    """Realized (U, merged) for the threshold pair (theta, c), including the
+    safety buffer on merges and the speed-cap fallback to cruising, with the
+    constants bound; the merge branch computes ``merge_speed(u, p)`` as
+    t0 = d1 / v, d1 / (t0 - u)."""
     t0, d1 = p.t0, p.d1
     reaction, cap = SAFETY_REACTION_TIME, MAX_SPEED
 
@@ -413,63 +416,44 @@ def account_costs(
     return VehicleRecord(k, t, x, s, u, merged, *_vehicle_costs(u, merged, p))
 
 
-class _RtsState:
-    """Estimator plus warm-started solver state for the real-time strategy."""
+def _rts_thresholds(gaps: list[float], spec: RealTimeStrategy, p: CostParams,
+                    consts: CostConstants) -> tuple[list[float], list[float]]:
+    """Every vehicle's (theta_k, c_k) under the real-time strategy. The rate
+    estimate reads headways, never decisions, so the whole day's thresholds
+    are solved before any vehicle decides.
 
-    def __init__(self, spec: RealTimeStrategy, p: CostParams, consts: CostConstants):
-        self.estimator = RateEstimator(beta=spec.beta, m_steps=spec.m_steps)
-        self.spec = spec
-        self.p = p
-        self.consts = consts
-        self.solution: poisson.PoissonSolution | None = None
-
-    def decide(self, s: float, x: float) -> tuple[float, bool, float, float]:
-        self.estimator.observe(x)
-        rate = self.estimator.estimate()
-        sol = self.solution
-        needs_solve = sol is None or self.spec.resolve_rel_change <= 0.0
-        if not needs_solve:
-            needs_solve = (
-                abs(rate - sol.rate) > self.spec.resolve_rel_change * sol.rate
-            )
-        if needs_solve:
-            self.solution = self._solve(rate) or sol
-        if self.solution is None:
-            theta, c = self.consts.theta_n, self.consts.c_n
-        else:
-            theta, c = self.solution.theta, self.solution.c
-        u, merged = threshold_decision(ThresholdPolicy(theta=theta, c=c), s, self.p)
-        return u, merged, theta, c
-
-    def _solve(self, rate: float) -> poisson.PoissonSolution | None:
-        """Solve warm from the last good solution, retrying cold once if that
-        fails. ``None`` when no start converges: the vehicle then keeps the
-        last good (theta, c), or (theta_n, c_n) before the first success, and
-        the day goes on."""
-        if self.solution is not None:
-            init = (self.solution.theta, self.solution.c)
-            try:
-                return poisson.solve(rate, self.p, self.consts, init=init)
-            except SolverError:
-                pass  # A bad warm start can strand the iteration; retry cold once.
-        try:
-            return poisson.solve(rate, self.p, self.consts, init=None)
-        except SolverError:
-            return None
+    Each vehicle re-estimates the rate and, when it moved by more than
+    ``resolve_rel_change`` relative (always, at 0), re-solves warm from the
+    last good solution, retrying cold once if that fails. When no start
+    converges the vehicle keeps the last good (theta, c), or (theta_n, c_n)
+    before the first success, and the day goes on."""
+    estimator = RateEstimator(beta=spec.beta, m_steps=spec.m_steps)
+    rel = spec.resolve_rel_change
+    sol: poisson.PoissonSolution | None = None
+    theta_k: list[float] = []
+    c_k: list[float] = []
+    for x in gaps:
+        estimator.observe(x)
+        rate = estimator.estimate()
+        if sol is None or rel <= 0.0 or abs(rate - sol.rate) > rel * sol.rate:
+            for init in (None,) if sol is None else ((sol.theta, sol.c), None):
+                try:
+                    sol = poisson.solve(rate, p, consts, init=init)
+                    break
+                except SolverError:
+                    pass  # A bad warm start can strand the iteration; retry cold once.
+        theta, c = (consts.theta_n, consts.c_n) if sol is None else (sol.theta, sol.c)
+        theta_k.append(theta)
+        c_k.append(c)
+    return theta_k, c_k
 
 
 def apply_policy(
-    policy: PolicySpec,
-    s: float,
-    x: float,
-    p: CostParams,
-    rts_state: _RtsState | None = None,
+    policy: PolicySpec, s: float, x: float, p: CostParams
 ) -> tuple[float, bool, float | None, float | None]:
-    """Realized (U, merged, theta_k, c_k) for one vehicle."""
+    """Realized (U, merged, theta_k, c_k) for one vehicle under a fixed policy."""
     if isinstance(policy, RealTimeStrategy):
-        if rts_state is None:
-            raise ValueError("real-time strategy requires solver state")
-        return rts_state.decide(s, x)
+        raise ValueError("real-time strategy decisions need a day's thresholds; use simulate")
     u, merged = _decision_rule(policy, p)(s, x)
     return (u, merged, *_fixed_thresholds(policy))
 
@@ -554,19 +538,16 @@ def _run_day(x_arr: np.ndarray, policy: PolicySpec, p: CostParams,
              consts: CostConstants) -> _Day:
     """The day of ``simulate`` and ``calibrate_policy_a`` over given
     detector gaps: one sequential decision per vehicle through a rule bound
-    once for the day, then the costs of the whole day at once."""
+    once for the day (per vehicle to its solved thresholds under the
+    real-time strategy), then the costs of the whole day at once."""
     gaps = x_arr.tolist()
     n = len(gaps)
     if isinstance(policy, RealTimeStrategy):
-        decide = _RtsState(policy, p, consts).decide
-        theta_k: list[float | None] = []
-        c_k: list[float | None] = []
+        theta_k, c_k = _rts_thresholds(gaps, policy, p, consts)
+        rules = map(_threshold_rule, theta_k, c_k, repeat(p))
 
-        def rule(s, x):
-            u, merged, theta, c = decide(s, x)
-            theta_k.append(theta)
-            c_k.append(c)
-            return u, merged
+        def rule(s, x):  # vehicle k decides through its own (theta_k, c_k)
+            return next(rules)(s, x)
     else:
         rule = _decision_rule(policy, p)
         theta, c = _fixed_thresholds(policy)

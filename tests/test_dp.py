@@ -1,5 +1,7 @@
 """Grid machinery, expected values, and the two grid-based solvers."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,46 @@ def test_overflowing_rate_raises_solver_error(p, consts, solver):
     # sweeps and every RA candidate are non-finite.
     with pytest.raises(SolverError, match="finite|diverged"):
         solver(REDUCED_GRID, Exponential(1e308), p, consts)
+
+
+@pytest.mark.parametrize("rate", [1e-100, 1e-300, 5e-324])
+@pytest.mark.parametrize("grid", [REDUCED_GRID, DEFAULT_GRID], ids=["reduced", "default"])
+@pytest.mark.parametrize("solver", [solve_bvi, solve_ra])
+def test_tiny_rate_solves_like_a_small_one(p, consts, solver, grid, rate):
+    # exp(-rate * step) rounds to 1 here; the weights take their limit.
+    tiny = solver(grid, Exponential(rate), p, consts)
+    small = solver(grid, Exponential(1e-12), p, consts)
+    assert tiny.policy == small.policy
+
+
+def extreme_rate_cases():
+    """Seeded log-uniform rates over the whole positive float range on the
+    reduced grid, with both ends, plus high rates on the default grid."""
+    rng = np.random.default_rng(2024)
+    exponents = rng.uniform(np.log10(5e-324), 308.0, size=40)
+    rates = [5e-324, 1e308] + [float(np.clip(10.0**e, 5e-324, 1e308)) for e in exponents]
+    return [("reduced", rate) for rate in rates] + [
+        ("default", rate) for rate in (100.0, 1e10, 1e300)
+    ]
+
+
+@pytest.mark.parametrize("solver", [solve_bvi, solve_ra])
+def test_grid_solvers_at_extreme_rates_stay_in_bounds_or_fail_cleanly(p, consts, solver):
+    grids = {"reduced": REDUCED_GRID, "default": DEFAULT_GRID}
+    for grid_name, rate in extreme_rate_cases():
+        grid = grids[grid_name]
+        start = time.perf_counter()
+        try:
+            policy = solver(grid, Exponential(rate), p, consts).policy
+        except SolverError:
+            continue
+        finally:
+            # A hang guard: these solves take well under a second.
+            assert time.perf_counter() - start < 20.0, (grid_name, rate)
+        step = grid.step
+        where = (grid_name, rate, policy)
+        assert consts.c_n - step <= policy.theta <= consts.theta_n + step, where
+        assert consts.theta_n_prime - step <= policy.c <= consts.c_n + step, where
 
 
 @pytest.mark.parametrize("headway", [1e300, np.finfo(float).max])

@@ -17,7 +17,7 @@ from platooncoord import (
     poisson,
     simulate,
 )
-from platooncoord.arrivals import make_rng
+from platooncoord.arrivals import RateEstimator, make_rng
 from platooncoord.dp import SolverError, ThresholdPolicy
 from platooncoord.simulate import (
     MAX_SPEED,
@@ -29,7 +29,6 @@ from platooncoord.simulate import (
     generate_arrivals,
     merge_speed,
     step_state,
-    threshold_decision,
     write_vehicle_csv,
 )
 
@@ -186,14 +185,12 @@ def test_merge_speed(p):
 
 
 def test_threshold_decision_cruise_branch(p):
-    pol = ThresholdPolicy(theta=20.0, c=-0.5)
-    u, merged = threshold_decision(pol, 25.0, p)
+    u, merged = sim._threshold_rule(20.0, -0.5, p)(25.0, 25.0)
     assert (u, merged) == (-0.5, False)
 
 
 def test_threshold_decision_merge_branch(p):
-    pol = ThresholdPolicy(theta=20.0, c=-0.5)
-    u, merged = threshold_decision(pol, 10.0, p)
+    u, merged = sim._threshold_rule(20.0, -0.5, p)(10.0, 10.0)
     assert merged and u == pytest.approx(10.0 - SAFETY_REACTION_TIME)
 
 
@@ -201,8 +198,7 @@ def test_threshold_decision_speed_cap_fallback(p):
     # Merging requires v_k > 40 m/s once S - t_safety > d1/v - d1/40.
     cutoff = p.d1 / p.v - p.d1 / MAX_SPEED
     s = cutoff + SAFETY_REACTION_TIME + 0.3
-    pol = ThresholdPolicy(theta=s + 1.0, c=-0.5)
-    u, merged = threshold_decision(pol, s, p)
+    u, merged = sim._threshold_rule(s + 1.0, -0.5, p)(s, s)
     assert (u, merged) == (-0.5, False)
 
 
@@ -374,18 +370,55 @@ def test_write_vehicle_csv(tmp_path, policy_b_run):
     assert len(lines) - 1 == policy_b_run.n_vehicles
 
 
+def reference_rts(spec, p, consts):
+    """One real-time-strategy vehicle at a time, written out: the rate
+    estimate; when the rate moved past ``resolve_rel_change`` (always, at 0),
+    a solve warm from the last good solution and one cold retry; the last
+    good (theta, c), or (theta_n, c_n) before the first success, when both
+    fail; then ``oracle_decision`` with that pair."""
+    estimator = RateEstimator(beta=spec.beta, m_steps=spec.m_steps)
+    last = None
+
+    def decide(s, x):
+        nonlocal last
+        estimator.observe(x)
+        rate = estimator.estimate()
+        rel = spec.resolve_rel_change
+        if last is None or rel <= 0.0 or abs(rate - last.rate) > rel * last.rate:
+            solution = None
+            if last is not None:
+                try:
+                    solution = poisson.solve(rate, p, consts, init=(last.theta, last.c))
+                except SolverError:
+                    pass
+            if solution is None:
+                try:
+                    solution = poisson.solve(rate, p, consts, init=None)
+                except SolverError:
+                    pass
+            last = solution or last
+        theta, c = (consts.theta_n, consts.c_n) if last is None else (last.theta, last.c)
+        pair = PolicyB(policy=ThresholdPolicy(theta=theta, c=c))
+        return (*oracle_decision(pair, s, x, p), theta, c)
+
+    return decide
+
+
 def reference_day(schedule, policy, p, consts, seed, duration):
-    """The per-vehicle loop: one ``apply_policy`` and one scalar
+    """The per-vehicle loop: one decision (``apply_policy``, or
+    ``reference_rts`` under the real-time strategy) and one scalar
     ``account_costs`` call per vehicle, with a running platoon count."""
     t_arr, x_arr = generate_arrivals(schedule, seed, duration)
-    rts_state = (
-        sim._RtsState(policy, p, consts) if isinstance(policy, RealTimeStrategy) else None
-    )
+    if isinstance(policy, RealTimeStrategy):
+        decide = reference_rts(policy, p, consts)
+    else:
+        def decide(s, x):
+            return apply_policy(policy, s, x, p)
     records, histogram = [], {}
     platoon_size, prev_u, prev_s = 0, 0.0, math.inf
     for k, (t, x) in enumerate(zip(t_arr.tolist(), x_arr.tolist()), start=1):
         s = step_state(prev_s, prev_u, x) if k > 1 else x
-        u, merged, theta_k, c_k = apply_policy(policy, s, x, p, rts_state)
+        u, merged, theta_k, c_k = decide(s, x)
         record = account_costs(k, t, x, s, u, merged, p)
         record.theta, record.c = theta_k, c_k
         records.append(record)
@@ -409,6 +442,7 @@ EQUIVALENCE_CASES = [
     (PolicyA(tau=30.0), 86400.0),
     (PolicyB(policy=ThresholdPolicy(theta=24.7, c=-36.0)), 86400.0),
     (RealTimeStrategy(), 3600.0),
+    (RealTimeStrategy(resolve_rel_change=0.01), 7200.0),  # lazy re-solve
 ]
 
 
@@ -521,18 +555,36 @@ def test_rts_does_not_swallow_other_errors(p, consts, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make, name",
+    "make, message",
     [
-        (lambda v: PolicyA(tau=v), "tau"),
-        (lambda v: PolicyB(policy=ThresholdPolicy(theta=v, c=-36.0)), "theta"),
-        (lambda v: PolicyB(policy=ThresholdPolicy(theta=24.7, c=v)), "c"),
+        (lambda v: PolicyA(tau=v), "tau must be finite"),
+        (lambda v: PolicyB(policy=ThresholdPolicy(theta=v, c=-36.0)), "theta must be finite"),
+        (lambda v: PolicyB(policy=ThresholdPolicy(theta=24.7, c=v)), "c must be finite"),
+        (lambda v: RealTimeStrategy(resolve_rel_change=v), "resolve_rel_change must be finite"),
+        (lambda v: RealTimeStrategy(beta=v), r"beta must lie in \(0, 1\)"),
     ],
-    ids=["policy_a-tau", "policy_b-theta", "policy_b-c"],
+    ids=["policy_a-tau", "policy_b-theta", "policy_b-c", "rts-resolve_rel_change", "rts-beta"],
 )
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_policy_specs_reject_non_finite_parameters(make, name, value):
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
+def test_policy_specs_reject_non_finite_parameters(make, message, value):
+    with pytest.raises(ValueError, match=message):
         make(value)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"resolve_rel_change": -0.01}, "resolve_rel_change must be finite and >= 0"),
+        ({"beta": 0.0}, r"beta must lie in \(0, 1\)"),
+        ({"beta": 1.0}, r"beta must lie in \(0, 1\)"),
+        ({"m_steps": 0}, "m_steps must be >= 1"),
+    ],
+    ids=["negative-resolve_rel_change", "beta-0", "beta-1", "m_steps-0"],
+)
+def test_real_time_strategy_rejects_out_of_range_parameters(kwargs, message):
+    # Checked when the spec is made, not when a day starts.
+    with pytest.raises(ValueError, match=message):
+        RealTimeStrategy(**kwargs)
 
 
 @pytest.mark.parametrize("duration", [-5.0, -1e-9, math.nan, math.inf, -math.inf])
@@ -710,8 +762,6 @@ def test_fixed_rules_match_the_per_vehicle_decision(p, policy):
             assert outcome(rule, s, x) == want
             got = outcome(apply_policy, policy, s, x, p)
             assert got == (want if want[0] is ValueError else (*want, *thresholds))
-            if isinstance(policy, PolicyB):
-                assert outcome(threshold_decision, policy.policy, s, p) == want
 
 
 def test_fixed_rule_boundaries(p):
@@ -725,11 +775,16 @@ def test_fixed_rule_boundaries(p):
     assert apply_policy(Baseline(), above, 9.0, p)[:2] == (0.0, False)
     # Policy B falls back to cruising once merging would exceed the speed cap.
     cap_s = p.t0 - p.d1 / MAX_SPEED + SAFETY_REACTION_TIME
-    pol = ThresholdPolicy(theta=30.0, c=-36.0)
-    assert threshold_decision(pol, cap_s - 1e-6, p)[1] is True
-    assert threshold_decision(pol, cap_s + 1e-6, p) == (-36.0, False)
+    rule = sim._threshold_rule(30.0, -36.0, p)
+    assert rule(cap_s - 1e-6, 9.0)[1] is True
+    assert rule(cap_s + 1e-6, 9.0) == (-36.0, False)
     with pytest.raises(ValueError, match="non-positive traversal time"):
-        threshold_decision(ThresholdPolicy(theta=100.0, c=-36.0), 46.0, p)
+        sim._threshold_rule(100.0, -36.0, p)(46.0, 9.0)
+
+
+def test_apply_policy_rejects_the_real_time_strategy(p):
+    with pytest.raises(ValueError, match="need a day's thresholds"):
+        apply_policy(RealTimeStrategy(), 10.0, 10.0, p)
 
 
 def oracle_day(x_arr, policy, p):
