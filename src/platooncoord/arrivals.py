@@ -7,6 +7,7 @@ day generator in ``simulate`` own each family's maths.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -113,6 +114,8 @@ class RateEstimator:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta!r}")
+        if not isinstance(self.m_steps, numbers.Integral):
+            raise ValueError(f"m_steps must be an integer, got {self.m_steps!r}")
         if self.m_steps < 1:
             raise ValueError(f"m_steps must be >= 1, got {self.m_steps!r}")
         self._window = deque(maxlen=self.m_steps)

@@ -145,8 +145,9 @@ class RealTimeStrategy:
 
     beta: float = 0.9
     m_steps: int = 50
-    # Re-solve only when the estimated rate moved by more than this relative
-    # amount; 0 re-solves on every arrival.
+    # A vehicle reuses the last pair solved along the day's walk over its
+    # sorted rates when its rate lies within this relative change of that
+    # pair's rate; 0 solves every vehicle.
     resolve_rel_change: float = 0.0
     name: str = field(default="rts", init=False)
 
@@ -416,35 +417,79 @@ def account_costs(
     return VehicleRecord(k, t, x, s, u, merged, *_vehicle_costs(u, merged, p))
 
 
-def _rts_thresholds(gaps: list[float], spec: RealTimeStrategy, p: CostParams,
+def _rts_rates(gaps: np.ndarray, spec: RealTimeStrategy) -> np.ndarray:
+    """Every vehicle's ``RateEstimator`` estimate after its own headway, from
+    one convolution of the gaps with the discount weights beta^j, j <
+    m_steps, the warm-up included. Vehicle 0's rate is the estimator's bit
+    for bit; the others agree to rounding."""
+    bad = gaps[~(gaps > 0.0)]
+    if bad.size:
+        raise ValueError(f"headway must be positive, got {bad[0].item()!r}")
+    weights = spec.beta ** np.arange(min(spec.m_steps, len(gaps)))
+    return 1.0 / ((1.0 - spec.beta) * np.convolve(gaps, weights)[: len(gaps)])
+
+
+def _secant_start(good: list[poisson.PoissonSolution], rate: float,
+                  consts: CostConstants) -> tuple[float, float]:
+    """The warm start at ``rate`` along a walk: the secant through the last
+    two solutions, extrapolated to ``rate`` and clamped to the proven bounds,
+    or the last solution alone when there is one or both share a rate."""
+    last = good[-1]
+    if len(good) < 2 or good[0].rate == last.rate:
+        return last.theta, last.c
+    prev = good[0]
+    t = (rate - last.rate) / (last.rate - prev.rate)
+    theta = last.theta + t * (last.theta - prev.theta)
+    c = last.c + t * (last.c - prev.c)
+    return (min(max(theta, consts.c_n), consts.theta_n),
+            min(max(c, consts.theta_n_prime), consts.c_n))
+
+
+def _rts_thresholds(gaps: np.ndarray, spec: RealTimeStrategy, p: CostParams,
                     consts: CostConstants) -> tuple[list[float], list[float]]:
     """Every vehicle's (theta_k, c_k) under the real-time strategy. The rate
     estimate reads headways, never decisions, so the whole day's thresholds
     are solved before any vehicle decides.
 
-    Each vehicle re-estimates the rate and, when it moved by more than
-    ``resolve_rel_change`` relative (always, at 0), re-solves warm from the
-    last good solution, retrying cold once if that fails. When no start
-    converges the vehicle keeps the last good (theta, c), or (theta_n, c_n)
-    before the first success, and the day goes on."""
-    estimator = RateEstimator(beta=spec.beta, m_steps=spec.m_steps)
+    Vehicle 0 solves cold at its rate. The other vehicles are solved along
+    the day's sorted rates, walking up and then down from vehicle 0's rank,
+    as predictor-corrector continuation: each solve starts from the secant
+    of the last two solutions along the walk (``_secant_start``) and, if
+    that fails, retries cold once. A vehicle re-solves when its rate lies
+    more than ``resolve_rel_change`` relative (always, at 0) from the last
+    solution's rate, and otherwise reuses that solution. When no start
+    converges the vehicle keeps the walk's last good (theta, c), or
+    (theta_n, c_n) before the first success, and the day goes on."""
+    n = len(gaps)
+    theta_k, c_k = [consts.theta_n] * n, [consts.c_n] * n
+    if n == 0:
+        return theta_k, c_k
+    rates = _rts_rates(gaps, spec).tolist()
     rel = spec.resolve_rel_change
-    sol: poisson.PoissonSolution | None = None
-    theta_k: list[float] = []
-    c_k: list[float] = []
-    for x in gaps:
-        estimator.observe(x)
-        rate = estimator.estimate()
-        if sol is None or rel <= 0.0 or abs(rate - sol.rate) > rel * sol.rate:
-            for init in (None,) if sol is None else ((sol.theta, sol.c), None):
-                try:
-                    sol = poisson.solve(rate, p, consts, init=init)
-                    break
-                except SolverError:
-                    pass  # A bad warm start can strand the iteration; retry cold once.
-        theta, c = (consts.theta_n, consts.c_n) if sol is None else (sol.theta, sol.c)
-        theta_k.append(theta)
-        c_k.append(c)
+
+    def solve(rate: float, starts) -> poisson.PoissonSolution | None:
+        for init in starts:
+            try:
+                return poisson.solve(rate, p, consts, init=init)
+            except SolverError:
+                pass  # A bad warm start can strand the iteration; retry cold once.
+        return None
+
+    anchor = solve(rates[0], (None,))
+    if anchor is not None:
+        theta_k[0], c_k[0] = anchor.theta, anchor.c
+    order = np.argsort(rates, kind="stable").tolist()
+    rank = order.index(0)
+    for walk in (order[rank + 1 :], order[:rank][::-1]):
+        good = [] if anchor is None else [anchor]  # the last two solutions along this walk
+        for k in walk:
+            rate = rates[k]
+            if not good or rel <= 0.0 or abs(rate - good[-1].rate) > rel * good[-1].rate:
+                sol = solve(rate, (_secant_start(good, rate, consts), None) if good else (None,))
+                if sol is not None:
+                    good = [*good[-1:], sol]
+            if good:
+                theta_k[k], c_k[k] = good[-1].theta, good[-1].c
     return theta_k, c_k
 
 
@@ -543,7 +588,7 @@ def _run_day(x_arr: np.ndarray, policy: PolicySpec, p: CostParams,
     gaps = x_arr.tolist()
     n = len(gaps)
     if isinstance(policy, RealTimeStrategy):
-        theta_k, c_k = _rts_thresholds(gaps, policy, p, consts)
+        theta_k, c_k = _rts_thresholds(x_arr, policy, p, consts)
         rules = map(_threshold_rule, theta_k, c_k, repeat(p))
 
         def rule(s, x):  # vehicle k decides through its own (theta_k, c_k)

@@ -370,47 +370,67 @@ def test_write_vehicle_csv(tmp_path, policy_b_run):
     assert len(lines) - 1 == policy_b_run.n_vehicles
 
 
-def reference_rts(spec, p, consts):
-    """One real-time-strategy vehicle at a time, written out: the rate
-    estimate; when the rate moved past ``resolve_rel_change`` (always, at 0),
-    a solve warm from the last good solution and one cold retry; the last
-    good (theta, c), or (theta_n, c_n) before the first success, when both
-    fail; then ``oracle_decision`` with that pair."""
-    estimator = RateEstimator(beta=spec.beta, m_steps=spec.m_steps)
-    last = None
+def reference_rts(spec, x_arr, p, consts):
+    """The day's real-time-strategy (theta, c) per vehicle, written out as a
+    walk over the sorted rates. Vehicle 0 solves cold. Then, walking up and
+    then down from its rank, a vehicle whose rate moved past
+    ``resolve_rel_change`` (always, at 0) from the walk's last solution
+    solves warm from the secant through the walk's last two solutions (the
+    last alone on the first step), clamped to the proven bounds, and
+    retries cold once; when both fail it keeps the walk's last good pair,
+    or (theta_n, c_n) before the first success. The rates are the
+    convolution that ``test_rts_rates_match_the_estimator`` checks."""
+    rates = sim._rts_rates(x_arr, spec).tolist()
+    rel = spec.resolve_rel_change
+    pairs = [(consts.theta_n, consts.c_n)] * len(rates)
 
-    def decide(s, x):
-        nonlocal last
-        estimator.observe(x)
-        rate = estimator.estimate()
-        rel = spec.resolve_rel_change
-        if last is None or rel <= 0.0 or abs(rate - last.rate) > rel * last.rate:
-            solution = None
+    def attempt(rate, init):
+        try:
+            return poisson.solve(rate, p, consts, init=init)
+        except SolverError:
+            return None
+
+    anchor = attempt(rates[0], None)
+    if anchor is not None:
+        pairs[0] = (anchor.theta, anchor.c)
+    order = sorted(range(len(rates)), key=rates.__getitem__)  # a stable sort
+    rank = order.index(0)
+    for walk in (order[rank + 1 :], reversed(order[:rank])):
+        prev, last = None, anchor
+        for k in walk:
+            rate = rates[k]
+            if last is None or rel <= 0.0 or abs(rate - last.rate) > rel * last.rate:
+                solution = None
+                if last is not None:
+                    theta, c = last.theta, last.c
+                    if prev is not None and prev.rate != last.rate:
+                        t = (rate - last.rate) / (last.rate - prev.rate)
+                        theta = min(max(theta + t * (theta - prev.theta), consts.c_n),
+                                    consts.theta_n)
+                        c = min(max(c + t * (c - prev.c), consts.theta_n_prime), consts.c_n)
+                    solution = attempt(rate, (theta, c))
+                if solution is None:
+                    solution = attempt(rate, None)
+                if solution is not None:
+                    prev, last = last, solution
             if last is not None:
-                try:
-                    solution = poisson.solve(rate, p, consts, init=(last.theta, last.c))
-                except SolverError:
-                    pass
-            if solution is None:
-                try:
-                    solution = poisson.solve(rate, p, consts, init=None)
-                except SolverError:
-                    pass
-            last = solution or last
-        theta, c = (consts.theta_n, consts.c_n) if last is None else (last.theta, last.c)
-        pair = PolicyB(policy=ThresholdPolicy(theta=theta, c=c))
-        return (*oracle_decision(pair, s, x, p), theta, c)
-
-    return decide
+                pairs[k] = (last.theta, last.c)
+    return pairs
 
 
 def reference_day(schedule, policy, p, consts, seed, duration):
     """The per-vehicle loop: one decision (``apply_policy``, or
-    ``reference_rts`` under the real-time strategy) and one scalar
+    ``oracle_decision`` with the vehicle's ``reference_rts`` pair under the
+    real-time strategy) and one scalar
     ``account_costs`` call per vehicle, with a running platoon count."""
     t_arr, x_arr = generate_arrivals(schedule, seed, duration)
     if isinstance(policy, RealTimeStrategy):
-        decide = reference_rts(policy, p, consts)
+        pairs = iter(reference_rts(policy, x_arr, p, consts))
+
+        def decide(s, x):
+            theta, c = next(pairs)
+            pair = PolicyB(policy=ThresholdPolicy(theta=theta, c=c))
+            return (*oracle_decision(pair, s, x, p), theta, c)
     else:
         def decide(s, x):
             return apply_policy(policy, s, x, p)
@@ -510,8 +530,25 @@ def rts_day(p, consts):
     return simulate(flat_schedule(150.0), RealTimeStrategy(), p, consts, seed=1, duration=1200.0)
 
 
+def rts_day_vehicle(rate):
+    """The vehicle of ``rts_day`` whose rate this is."""
+    _, x_arr = generate_arrivals(flat_schedule(150.0), 1, 1200.0)
+    return sim._rts_rates(x_arr, RealTimeStrategy()).tolist().index(rate)
+
+
+def secant(rate, a, b):
+    """(theta, c) at ``rate`` on the line through solutions a and b, each a
+    (rate, theta, c)."""
+    t = (rate - b[0]) / (b[0] - a[0])
+    return b[1] + t * (b[1] - a[1]), b[2] + t * (b[2] - a[2])
+
+
+# rts_day's vehicle 0 has the day's highest rate, so call 1 solves it cold and
+# calls 2, 3, ... solve the other vehicles along the walk down the sorted rates.
+
+
 def test_rts_retries_cold_after_failed_warm_solve(p, consts, monkeypatch):
-    # Call 10 is vehicle 10's warm solve; call 11 its cold retry.
+    # Call 10 is the ninth walk step's warm solve; call 11 its cold retry.
     calls = scripted_solve(monkeypatch, lambda n: n == 10)
     result = rts_day(p, consts)
     assert len(calls) == result.n_vehicles + 1
@@ -519,19 +556,52 @@ def test_rts_retries_cold_after_failed_warm_solve(p, consts, monkeypatch):
     assert init is not None and calls[10] == (rate, None)
     monkeypatch.undo()
     cold = poisson.solve(rate, p, consts)
-    assert (result.records[9].theta, result.records[9].c) == (cold.theta, cold.c)
-    assert calls[11][1] == (cold.theta, cold.c)
+    retried = result.records[rts_day_vehicle(rate)]
+    assert (retried.theta, retried.c) == (cold.theta, cold.c)
+    # The retried pair is the walk's latest: the next solve starts from the
+    # secant through the step before and it.
+    before = result.records[rts_day_vehicle(calls[8][0])]
+    next_rate, next_init = calls[11]
+    want = secant(next_rate, (calls[8][0], before.theta, before.c),
+                  (rate, cold.theta, cold.c))
+    assert next_init == pytest.approx(want, rel=1e-12)
 
 
 def test_rts_keeps_last_good_pair_when_both_solves_fail(p, consts, monkeypatch):
     calls = scripted_solve(monkeypatch, lambda n: n in (10, 11))
     result = rts_day(p, consts)
     assert len(calls) == result.n_vehicles + 1
-    last_good = (result.records[8].theta, result.records[8].c)
-    assert (result.records[9].theta, result.records[9].c) == last_good
-    # The last good pair stays the next vehicle's warm start.
-    assert calls[11][1] == last_good
-    assert (result.records[10].theta, result.records[10].c) != last_good
+    walk = [result.records[rts_day_vehicle(rate)] for rate, _ in calls]
+    last_good = (walk[8].theta, walk[8].c)
+    assert (walk[9].theta, walk[9].c) == last_good
+    # The last two good pairs stay the next solve's predictor.
+    next_rate, next_init = calls[11]
+    want = secant(next_rate, (calls[7][0], walk[7].theta, walk[7].c),
+                  (calls[8][0], *last_good))
+    assert next_init == pytest.approx(want, rel=1e-12)
+    assert (walk[11].theta, walk[11].c) != last_good
+
+
+def test_secant_start_stays_inside_the_proven_bounds(consts):
+    def solution(rate, theta, c):
+        return poisson.PoissonSolution(theta=theta, c=c, z=0.0, rate=rate, residual_norm=0.0)
+
+    a, b = solution(0.1, 20.0, -30.0), solution(0.11, 19.0, -31.0)
+    assert sim._secant_start([a, b], 0.12, consts) == pytest.approx((18.0, -32.0), rel=1e-12)
+    assert sim._secant_start([a, b], 10.0, consts) == (consts.c_n, consts.theta_n_prime)
+    assert sim._secant_start([a, b], -10.0, consts) == (consts.theta_n, consts.c_n)
+    # One solution, or two at one rate, give the last pair as it is.
+    assert sim._secant_start([b], 10.0, consts) == (19.0, -31.0)
+    assert sim._secant_start([solution(0.11, 20.0, -30.0), b], 10.0, consts) == (19.0, -31.0)
+
+
+def test_rts_day_starts_with_a_cold_solve_at_vehicle_0s_rate(p, consts, monkeypatch):
+    calls = scripted_solve(monkeypatch, lambda n: False)
+    rts_day(p, consts)
+    _, x_arr = generate_arrivals(flat_schedule(150.0), 1, 1200.0)
+    estimator = RateEstimator()
+    estimator.observe(x_arr.item(0))
+    assert calls[0] == (estimator.estimate(), None)
 
 
 def test_rts_uses_one_stage_pair_before_first_success(p, consts, monkeypatch):
@@ -552,6 +622,109 @@ def test_rts_does_not_swallow_other_errors(p, consts, monkeypatch):
     monkeypatch.setattr(poisson, "solve", solve)
     with pytest.raises(MemoryError):
         rts_day(p, consts)
+
+
+def rising_schedule():
+    """A quiet first hour (20 veh/h), then 300 veh/h: vehicle 0's rate lies
+    inside the day's range, so the walk runs both up and down from it."""
+    return FlowSchedule(rows=tuple(
+        (h, *((10.0, 10.0) if h == 0 else (150.0, 150.0))) for h in range(24)))
+
+
+def estimator_rates(x_arr, spec):
+    estimator = RateEstimator(beta=spec.beta, m_steps=spec.m_steps)
+    rates = []
+    for x in x_arr.tolist():
+        estimator.observe(x)
+        rates.append(estimator.estimate())
+    return rates
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [RealTimeStrategy(), RealTimeStrategy(beta=0.5, m_steps=7),
+     RealTimeStrategy(beta=0.99, m_steps=500)],
+    ids=["default", "short-window", "window-longer-than-day"],
+)
+def test_rts_rates_match_the_estimator(spec):
+    _, x_arr = generate_arrivals(flat_schedule(173.0), 3, 3600.0)
+    assert 50 < len(x_arr) < 500
+    want = estimator_rates(x_arr, spec)
+    got = sim._rts_rates(x_arr, spec)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert got.item(0) == want[0]
+
+
+@pytest.mark.parametrize("seed", [34, 53, 126])
+def test_rts_first_rate_is_the_estimators_bit_for_bit(seed):
+    # These days' first rates (15-34 veh/s) are the ones whose cold solve
+    # exhausts a 1 GB address-space cap; the day must fail on that same call.
+    _, x_arr = generate_arrivals(FlowSchedule.bundled().with_average_flow(173.0), seed)
+    estimator = RateEstimator()
+    estimator.observe(x_arr.item(0))
+    rate = sim._rts_rates(x_arr, RealTimeStrategy()).item(0)
+    assert rate == estimator.estimate() > 10.0
+
+
+def test_rts_rates_reject_a_non_positive_headway():
+    with pytest.raises(ValueError, match="headway must be positive, got 0.0"):
+        sim._rts_rates(np.array([3.0, 0.0, 2.0]), RealTimeStrategy())
+
+
+def test_rts_empty_day(p, consts):
+    result = simulate(flat_schedule(173.0), RealTimeStrategy(), p, consts, seed=0, duration=0.0)
+    assert result.n_vehicles == len(result.records) == 0
+
+
+@pytest.mark.parametrize(
+    "spec", [RealTimeStrategy(), RealTimeStrategy(resolve_rel_change=0.01)],
+    ids=["eager", "lazy"],
+)
+def test_rts_walks_up_and_down_as_the_reference(p, consts, spec):
+    schedule = rising_schedule()
+    _, x_arr = generate_arrivals(schedule, 1, 5400.0)
+    rates = sim._rts_rates(x_arr, spec)
+    above = int(np.sum(rates > rates[0]))
+    assert 10 < above < len(rates) - 10
+    result = simulate(schedule, spec, p, consts, seed=1, duration=5400.0)
+    assert [(r.theta, r.c) for r in result.records] == reference_rts(spec, x_arr, p, consts)
+
+
+def test_rts_lazy_pairs_were_solved_near_each_vehicles_rate(p, consts, monkeypatch):
+    real = poisson.solve
+    solved_at = {}
+
+    def solve(rate, p, consts, init=None):
+        sol = real(rate, p, consts, init=init)
+        solved_at[sol.theta, sol.c] = rate
+        return sol
+
+    monkeypatch.setattr(poisson, "solve", solve)
+    schedule, spec = rising_schedule(), RealTimeStrategy(resolve_rel_change=0.01)
+    result = simulate(schedule, spec, p, consts, seed=1, duration=5400.0)
+    _, x_arr = generate_arrivals(schedule, 1, 5400.0)
+    for r, rate in zip(result.records, estimator_rates(x_arr, spec)):
+        solved = solved_at[r.theta, r.c]
+        # The estimator's rate may differ from the day's in the last bits.
+        assert abs(rate - solved) <= (0.01 + 1e-13) * solved
+    assert len(solved_at) < result.n_vehicles  # some vehicles reuse a pair
+
+
+def test_rts_thresholds_match_a_tight_tolerance_reference(p, consts, monkeypatch):
+    schedule = flat_schedule(173.0)
+    result = simulate(schedule, RealTimeStrategy(), p, consts, seed=0, duration=1800.0)
+    _, x_arr = generate_arrivals(schedule, 0, 1800.0)
+    monkeypatch.setattr(poisson, "RESIDUAL_TOL", 1e-12)
+    s, u = math.inf, 0.0
+    for r, x, rate in zip(result.records, x_arr.tolist(),
+                          estimator_rates(x_arr, RealTimeStrategy())):
+        tight = poisson.solve(rate, p, consts)
+        assert abs(r.theta - tight.theta) <= 1e-6
+        assert abs(r.c - tight.c) <= 2e-4
+        s = step_state(s, u, x)
+        pair = PolicyB(policy=ThresholdPolicy(theta=tight.theta, c=tight.c))
+        u, merged = oracle_decision(pair, s, x, p)
+        assert r.merged == merged
 
 
 @pytest.mark.parametrize(
@@ -578,8 +751,9 @@ def test_policy_specs_reject_non_finite_parameters(make, message, value):
         ({"beta": 0.0}, r"beta must lie in \(0, 1\)"),
         ({"beta": 1.0}, r"beta must lie in \(0, 1\)"),
         ({"m_steps": 0}, "m_steps must be >= 1"),
+        ({"m_steps": 2.5}, "m_steps must be an integer"),
     ],
-    ids=["negative-resolve_rel_change", "beta-0", "beta-1", "m_steps-0"],
+    ids=["negative-resolve_rel_change", "beta-0", "beta-1", "m_steps-0", "m_steps-2.5"],
 )
 def test_real_time_strategy_rejects_out_of_range_parameters(kwargs, message):
     # Checked when the spec is made, not when a day starts.
