@@ -29,8 +29,6 @@ from .dp import (
     StateGrid,
     ThresholdPolicy,
     ValueFunction,
-    bellman_backup,
-    expected_value,
     solve_bvi,
     solve_ra,
 )
@@ -71,10 +69,8 @@ __all__ = [
     "StateGrid",
     "ThresholdPolicy",
     "ValueFunction",
-    "bellman_backup",
     "closed_form_value",
     "compute_constants",
-    "expected_value",
     "make_rng",
     "nominal_params",
     "platoon_bonus",

@@ -46,6 +46,14 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ``UsageError`` (exit 1), not
+    argparse's exit 2, which is the numerical-failure code here."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def parse_arrival_spec(spec: str) -> ArrivalModel:
     """Parse 'exponential:0.02' | 'constant:10' | 'discrete:15:0.4,8:0.6'."""
     kind, _, rest = spec.partition(":")
@@ -70,6 +78,8 @@ def _load_config(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise UsageError(f"--config must hold a JSON object, got {type(config).__name__}")
     overrides = {
         "gamma": getattr(args, "gamma", None),
         "d2_km": getattr(args, "d2_km", None),
@@ -156,11 +166,7 @@ def _policy_from(args, schedule, p, consts, seed):
             raise UsageError("policy b requires --theta and --c")
         return PolicyB(policy=ThresholdPolicy(theta=args.theta, c=args.c))
     if name == "rts":
-        return RealTimeStrategy(
-            beta=args.beta,
-            m_steps=args.m_steps,
-            resolve_rel_change=0.01 if args.lazy_resolve else 0.0,
-        )
+        return RealTimeStrategy(beta=args.beta, m_steps=args.m_steps)
     raise UsageError(f"unknown policy {name!r}")
 
 
@@ -320,7 +326,7 @@ def _write_csv(path: str | None, rows: list[dict], fields: list[str]) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="platoon-coord",
         description="Threshold-policy solvers and junction platooning simulation.",
     )
@@ -355,11 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=float, help="policy b cruise time reduction")
     sp.add_argument("--beta", type=float, default=0.9)
     sp.add_argument("--m-steps", type=int, default=50)
-    sp.add_argument(
-        "--lazy-resolve",
-        action="store_true",
-        help="re-solve only when the rate estimate moves by more than 1%%",
-    )
     sp.add_argument("--seed", type=int, help="default: $PLATOON_DP_SEED or 0")
     sp.add_argument("--duration", type=float, default=86400.0)
     sp.add_argument("--emit-vehicles", help="write a per-vehicle CSV")
@@ -394,9 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (SolverError, CostDomainError) as exc:
         print(json.dumps({"error": str(exc), "kind": "numerical"}), file=sys.stderr)

@@ -8,6 +8,8 @@ L/100km, km) on the way in.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,13 +80,18 @@ class CostParams:
         """Build params from a flat config dict; missing keys use nominal values.
 
         Expected keys: w1_per_hour, w2_per_liter, alpha, eta, phi_l_per_100km,
-        v_mps, d1_km, d2_km, gamma.
+        v_mps, d1_km, d2_km, gamma; each value a finite real number.
         """
         cfg = dict(NOMINAL_CONFIG)
         if config:
             unknown = set(config) - set(NOMINAL_CONFIG)
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            for key, value in config.items():
+                # An int beyond the float range would overflow the unit conversions.
+                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                        or not abs(value) <= sys.float_info.max):
+                    raise ValueError(f"config key {key!r} must be a finite number, got {value!r}")
             cfg.update(config)
         return cls(
             w1=cfg["w1_per_hour"] / 3600.0,

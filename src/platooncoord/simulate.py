@@ -53,8 +53,12 @@ class FlowSchedule:
             raise ValueError(f"expected 24 hourly rows, got {len(self.rows)}")
         if [hour for hour, _, _ in self.rows] != list(range(24)):
             raise ValueError("schedule rows must list hours 0..23 in order")
-        if any(f1 < 0.0 or f2 < 0.0 for _, f1, f2 in self.rows):
-            raise ValueError("flows must be non-negative")
+        for hour, f1, f2 in self.rows:
+            # The merged flow must stay finite too: a rate of inf breaks the day.
+            if not (f1 >= 0.0 and f2 >= 0.0 and math.isfinite(f1 + f2)):
+                raise ValueError(
+                    f"hour {hour}: flows must be finite and non-negative, got {f1!r}, {f2!r}"
+                )
         if not 0.0 < self.scale <= 1.0:
             raise ValueError(f"scale must lie in (0, 1], got {self.scale!r}")
 
@@ -95,11 +99,17 @@ class FlowSchedule:
         expected = {"hour", "flow1_vph", "flow2_vph"}
         if reader.fieldnames is None or set(reader.fieldnames) != expected:
             raise ValueError(f"schedule CSV must have columns {sorted(expected)}")
-        rows = tuple(
-            (int(row["hour"]), float(row["flow1_vph"]), float(row["flow2_vph"]))
-            for row in reader
-        )
-        return cls(rows=rows, scale=scale)
+        rows = []
+        for row in reader:
+            try:
+                # DictReader fills a short row with None and keys a long
+                # row's extra fields by None.
+                if None in row or None in row.values():
+                    raise ValueError(f"expected the 3 fields {', '.join(reader.fieldnames)}")
+                rows.append((int(row["hour"]), float(row["flow1_vph"]), float(row["flow2_vph"])))
+            except ValueError as exc:
+                raise ValueError(f"schedule CSV line {reader.line_num}: {exc}") from None
+        return cls(rows=tuple(rows), scale=scale)
 
 
 @dataclass(frozen=True)
@@ -145,18 +155,10 @@ class RealTimeStrategy:
 
     beta: float = 0.9
     m_steps: int = 50
-    # A vehicle reuses the last pair solved along the day's walk over its
-    # sorted rates when its rate lies within this relative change of that
-    # pair's rate; 0 solves every vehicle.
-    resolve_rel_change: float = 0.0
     name: str = field(default="rts", init=False)
 
     def __post_init__(self):
         RateEstimator(beta=self.beta, m_steps=self.m_steps)  # raises on a bad beta or m_steps
-        if not (math.isfinite(self.resolve_rel_change) and self.resolve_rel_change >= 0.0):
-            raise ValueError(
-                f"resolve_rel_change must be finite and >= 0, got {self.resolve_rel_change!r}"
-            )
 
 
 PolicySpec = Baseline | PolicyA | PolicyB | RealTimeStrategy
@@ -455,17 +457,14 @@ def _rts_thresholds(gaps: np.ndarray, spec: RealTimeStrategy, p: CostParams,
     the day's sorted rates, walking up and then down from vehicle 0's rank,
     as predictor-corrector continuation: each solve starts from the secant
     of the last two solutions along the walk (``_secant_start``) and, if
-    that fails, retries cold once. A vehicle re-solves when its rate lies
-    more than ``resolve_rel_change`` relative (always, at 0) from the last
-    solution's rate, and otherwise reuses that solution. When no start
-    converges the vehicle keeps the walk's last good (theta, c), or
-    (theta_n, c_n) before the first success, and the day goes on."""
+    that fails, retries cold once. When no start converges the vehicle
+    keeps the walk's last good (theta, c), or (theta_n, c_n) before the
+    first success, and the day goes on."""
     n = len(gaps)
     theta_k, c_k = [consts.theta_n] * n, [consts.c_n] * n
     if n == 0:
         return theta_k, c_k
     rates = _rts_rates(gaps, spec).tolist()
-    rel = spec.resolve_rel_change
 
     def solve(rate: float, starts) -> poisson.PoissonSolution | None:
         for init in starts:
@@ -484,10 +483,9 @@ def _rts_thresholds(gaps: np.ndarray, spec: RealTimeStrategy, p: CostParams,
         good = [] if anchor is None else [anchor]  # the last two solutions along this walk
         for k in walk:
             rate = rates[k]
-            if not good or rel <= 0.0 or abs(rate - good[-1].rate) > rel * good[-1].rate:
-                sol = solve(rate, (_secant_start(good, rate, consts), None) if good else (None,))
-                if sol is not None:
-                    good = [*good[-1:], sol]
+            sol = solve(rate, (_secant_start(good, rate, consts), None) if good else (None,))
+            if sol is not None:
+                good = [*good[-1:], sol]
             if good:
                 theta_k[k], c_k[k] = good[-1].theta, good[-1].c
     return theta_k, c_k

@@ -288,3 +288,71 @@ def test_simulate_zero_duration(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["n_vehicles"] == 0 and doc["avg_cost"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--policy", "xyz"],
+        ["solve", "--solver", "ra"],
+        ["sweep", "--param", "gamma", "--values", "x"],
+        ["simulate", "--policy", "rts", "--lazy-resolve"],
+        [],
+    ],
+    ids=["bad-choice", "missing-required", "bad-float", "unknown-flag", "no-command"],
+)
+def test_malformed_command_line_is_a_usage_error(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"].startswith("platoon-coord")
+
+
+SCHEDULE_HEADER = "hour,flow1_vph,flow2_vph\n"
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("5,10", "line 7: expected the 3 fields"),
+        ("5,10,10,10", "line 7: expected the 3 fields"),
+        ("5.5,10,10", "line 7: invalid literal for int()"),
+        ("5,inf,10", "hour 5: flows must be finite"),
+        ("5,10,nan", "hour 5: flows must be finite"),
+        ("5,1e308,1e308", "hour 5: flows must be finite"),
+    ],
+    ids=["missing-field", "extra-field", "bad-hour", "inf-flow", "nan-flow", "overflowing-sum"],
+)
+def test_bad_schedule_row_is_a_usage_error(tmp_path, capsys, bad_row, message):
+    rows = [f"{h},10,10" for h in range(24)]
+    rows[5] = bad_row
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text(SCHEDULE_HEADER + "\n".join(rows) + "\n")
+    code, out = run(tmp_path, "simulate", "--policy", "baseline", "--schedule", str(schedule),
+                    "--duration", "3600")
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert message in json.loads(err[0])["error"]
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ("5", "must hold a JSON object"),
+        ("[]", "must hold a JSON object"),
+        ('{"gamma": "0.9"}', "config key 'gamma' must be a finite number"),
+        ('{"eta": true}', "config key 'eta' must be a finite number"),
+        ('{"d1_km": 1' + "0" * 400 + "}", "config key 'd1_km' must be a finite number"),
+    ],
+    ids=["number", "array", "string-value", "bool-value", "huge-int-value"],
+)
+def test_config_must_be_an_object_of_numbers(tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    code, out = run(tmp_path, "solve", "--solver", "poisson", "--arrivals", "exponential:0.02",
+                    "--config", str(path))
+    assert code == 1
+    assert not out.exists()
+    assert message in json.loads(capsys.readouterr().err)["error"]

@@ -14,8 +14,6 @@ from platooncoord import (
     SolverError,
     StateGrid,
     ValueFunction,
-    bellman_backup,
-    expected_value,
     platoon_bonus,
     reward_cruise,
     reward_merge,
@@ -23,8 +21,78 @@ from platooncoord import (
     solve_poisson,
     solve_ra,
 )
-from platooncoord.cost import CostParams
+from platooncoord.arrivals import ArrivalModel, atoms_of
+from platooncoord.cost import SINGULARITY_GUARD, CostConstants, CostParams
 from platooncoord.dp import _quadrature, greedy_actions
+
+
+# Scalar reference implementations of E[V(a + X)] and of a one-state
+# Bellman update, which the tests below check the solvers' pieces against.
+
+
+def expected_value(vf: ValueFunction, a: float, model: ArrivalModel) -> float:
+    """E[V(a + X)] under the arrival model, with V(s) = V(n) beyond the grid.
+
+    For continuous (exponential) models this is normalized trapezoidal
+    quadrature on the grid's own step plus an analytic tail term; for
+    discrete models it is the exact weighted sum over atoms.
+    """
+    grid = vf.grid
+    if not grid.m - 1e-9 <= a <= grid.n + 1e-9:
+        raise ValueError(f"evaluation point {a!r} outside grid [{grid.m}, {grid.n}]")
+    atoms = atoms_of(model)
+    if atoms is not None:
+        return sum(prob * vf(a + h) for h, prob in atoms)
+    assert isinstance(model, Exponential)
+    rate = model.rate
+    step = grid.step
+    span = int((grid.n - a) / step + 1e-9)
+    if span == 0:
+        return float(vf.values[-1])
+    x = step * np.arange(span + 1)
+    f = rate * np.exp(-rate * x)
+    w = np.full(span + 1, step)
+    w[0] = w[-1] = 0.5 * step
+    vals = np.array([vf(a + xi) for xi in x])
+    tail = np.exp(-rate * step * span)
+    mass = float(np.sum(w * f)) + tail
+    return (float(np.sum(w * f * vals)) + tail * float(vf.values[-1])) / mass
+
+
+def bellman_backup(
+    vf: ValueFunction,
+    s: float,
+    model: ArrivalModel,
+    p: CostParams,
+    consts: CostConstants,
+) -> tuple[float, float, bool]:
+    """One-state Bellman update: best value, its action, and whether the
+    merge branch won. Non-merge actions range over grid nodes strictly
+    below min(s, t0 - step); ties prefer merging."""
+    grid = vf.grid
+    gamma = p.gamma
+    nodes = grid.nodes()
+    cutoff = min(s, consts.t0 - grid.step)
+    candidates = nodes[nodes < cutoff - 1e-12]
+    best_val = -np.inf
+    best_action = None
+    for a in candidates:
+        q = reward_cruise(float(a), p) + gamma * expected_value(vf, float(a), model)
+        if q > best_val:
+            best_val = q
+            best_action = float(a)
+    merged = False
+    if s <= consts.t0 - SINGULARITY_GUARD:
+        q_merge = reward_merge(s, p) + gamma * expected_value(vf, s, model)
+        if q_merge >= best_val:
+            best_val = q_merge
+            best_action = s
+            merged = True
+    if best_action is None:
+        raise SolverError(f"no feasible action at state {s!r}")
+    return best_val, best_action, merged
+
+
 
 
 def test_grid_validation():

@@ -63,6 +63,17 @@ def test_schedule_rows_must_list_hours_in_order():
         FlowSchedule(rows=((1, 0.0, 0.0),) + rows[1:])
 
 
+@pytest.mark.parametrize(
+    "flows", [(math.inf, 10.0), (10.0, math.nan), (1e308, 1e308), (-1.0, 10.0)],
+    ids=["inf", "nan", "overflowing-sum", "negative"],
+)
+def test_schedule_rejects_non_finite_or_negative_flows(flows):
+    rows = [(h, 10.0, 10.0) for h in range(24)]
+    rows[5] = (5, *flows)
+    with pytest.raises(ValueError, match="hour 5: flows must be finite and non-negative"):
+        FlowSchedule(rows=tuple(rows))
+
+
 def test_zero_flow_schedule_cannot_be_rescaled():
     with pytest.raises(ValueError, match="no flow"):
         flat_schedule(0.0).with_average_flow(10.0)
@@ -305,20 +316,6 @@ def test_rts_runs_and_records_thresholds(p, consts):
     assert result.to_json() == again.to_json()
 
 
-def test_rts_lazy_resolve_close_to_eager(p, consts):
-    schedule = flat_schedule(150.0)
-    eager = simulate(schedule, RealTimeStrategy(), p, consts, seed=4, duration=3600.0)
-    lazy = simulate(
-        schedule,
-        RealTimeStrategy(resolve_rel_change=0.01),
-        p,
-        consts,
-        seed=4,
-        duration=3600.0,
-    )
-    assert lazy.avg_cost == pytest.approx(eager.avg_cost, rel=1e-3)
-
-
 def check_calibration(p, consts, flow, taus):
     """The calibrated tau is the argmin of ``simulate``'s average costs, and
     the calibration's own averages equal them bit for bit."""
@@ -373,15 +370,13 @@ def test_write_vehicle_csv(tmp_path, policy_b_run):
 def reference_rts(spec, x_arr, p, consts):
     """The day's real-time-strategy (theta, c) per vehicle, written out as a
     walk over the sorted rates. Vehicle 0 solves cold. Then, walking up and
-    then down from its rank, a vehicle whose rate moved past
-    ``resolve_rel_change`` (always, at 0) from the walk's last solution
-    solves warm from the secant through the walk's last two solutions (the
-    last alone on the first step), clamped to the proven bounds, and
-    retries cold once; when both fail it keeps the walk's last good pair,
-    or (theta_n, c_n) before the first success. The rates are the
-    convolution that ``test_rts_rates_match_the_estimator`` checks."""
+    then down from its rank, each vehicle solves warm from the secant
+    through the walk's last two solutions (the last alone on the first
+    step), clamped to the proven bounds, and retries cold once; when both
+    fail it keeps the walk's last good pair, or (theta_n, c_n) before the
+    first success. The rates are the convolution that
+    ``test_rts_rates_match_the_estimator`` checks."""
     rates = sim._rts_rates(x_arr, spec).tolist()
-    rel = spec.resolve_rel_change
     pairs = [(consts.theta_n, consts.c_n)] * len(rates)
 
     def attempt(rate, init):
@@ -399,20 +394,19 @@ def reference_rts(spec, x_arr, p, consts):
         prev, last = None, anchor
         for k in walk:
             rate = rates[k]
-            if last is None or rel <= 0.0 or abs(rate - last.rate) > rel * last.rate:
-                solution = None
-                if last is not None:
-                    theta, c = last.theta, last.c
-                    if prev is not None and prev.rate != last.rate:
-                        t = (rate - last.rate) / (last.rate - prev.rate)
-                        theta = min(max(theta + t * (theta - prev.theta), consts.c_n),
-                                    consts.theta_n)
-                        c = min(max(c + t * (c - prev.c), consts.theta_n_prime), consts.c_n)
-                    solution = attempt(rate, (theta, c))
-                if solution is None:
-                    solution = attempt(rate, None)
-                if solution is not None:
-                    prev, last = last, solution
+            solution = None
+            if last is not None:
+                theta, c = last.theta, last.c
+                if prev is not None and prev.rate != last.rate:
+                    t = (rate - last.rate) / (last.rate - prev.rate)
+                    theta = min(max(theta + t * (theta - prev.theta), consts.c_n),
+                                consts.theta_n)
+                    c = min(max(c + t * (c - prev.c), consts.theta_n_prime), consts.c_n)
+                solution = attempt(rate, (theta, c))
+            if solution is None:
+                solution = attempt(rate, None)
+            if solution is not None:
+                prev, last = last, solution
             if last is not None:
                 pairs[k] = (last.theta, last.c)
     return pairs
@@ -462,7 +456,6 @@ EQUIVALENCE_CASES = [
     (PolicyA(tau=30.0), 86400.0),
     (PolicyB(policy=ThresholdPolicy(theta=24.7, c=-36.0)), 86400.0),
     (RealTimeStrategy(), 3600.0),
-    (RealTimeStrategy(resolve_rel_change=0.01), 7200.0),  # lazy re-solve
 ]
 
 
@@ -676,10 +669,7 @@ def test_rts_empty_day(p, consts):
     assert result.n_vehicles == len(result.records) == 0
 
 
-@pytest.mark.parametrize(
-    "spec", [RealTimeStrategy(), RealTimeStrategy(resolve_rel_change=0.01)],
-    ids=["eager", "lazy"],
-)
+@pytest.mark.parametrize("spec", [RealTimeStrategy()], ids=["eager"])
 def test_rts_walks_up_and_down_as_the_reference(p, consts, spec):
     schedule = rising_schedule()
     _, x_arr = generate_arrivals(schedule, 1, 5400.0)
@@ -688,26 +678,6 @@ def test_rts_walks_up_and_down_as_the_reference(p, consts, spec):
     assert 10 < above < len(rates) - 10
     result = simulate(schedule, spec, p, consts, seed=1, duration=5400.0)
     assert [(r.theta, r.c) for r in result.records] == reference_rts(spec, x_arr, p, consts)
-
-
-def test_rts_lazy_pairs_were_solved_near_each_vehicles_rate(p, consts, monkeypatch):
-    real = poisson.solve
-    solved_at = {}
-
-    def solve(rate, p, consts, init=None):
-        sol = real(rate, p, consts, init=init)
-        solved_at[sol.theta, sol.c] = rate
-        return sol
-
-    monkeypatch.setattr(poisson, "solve", solve)
-    schedule, spec = rising_schedule(), RealTimeStrategy(resolve_rel_change=0.01)
-    result = simulate(schedule, spec, p, consts, seed=1, duration=5400.0)
-    _, x_arr = generate_arrivals(schedule, 1, 5400.0)
-    for r, rate in zip(result.records, estimator_rates(x_arr, spec)):
-        solved = solved_at[r.theta, r.c]
-        # The estimator's rate may differ from the day's in the last bits.
-        assert abs(rate - solved) <= (0.01 + 1e-13) * solved
-    assert len(solved_at) < result.n_vehicles  # some vehicles reuse a pair
 
 
 def test_rts_thresholds_match_a_tight_tolerance_reference(p, consts, monkeypatch):
@@ -733,10 +703,9 @@ def test_rts_thresholds_match_a_tight_tolerance_reference(p, consts, monkeypatch
         (lambda v: PolicyA(tau=v), "tau must be finite"),
         (lambda v: PolicyB(policy=ThresholdPolicy(theta=v, c=-36.0)), "theta must be finite"),
         (lambda v: PolicyB(policy=ThresholdPolicy(theta=24.7, c=v)), "c must be finite"),
-        (lambda v: RealTimeStrategy(resolve_rel_change=v), "resolve_rel_change must be finite"),
         (lambda v: RealTimeStrategy(beta=v), r"beta must lie in \(0, 1\)"),
     ],
-    ids=["policy_a-tau", "policy_b-theta", "policy_b-c", "rts-resolve_rel_change", "rts-beta"],
+    ids=["policy_a-tau", "policy_b-theta", "policy_b-c", "rts-beta"],
 )
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_policy_specs_reject_non_finite_parameters(make, message, value):
@@ -747,13 +716,12 @@ def test_policy_specs_reject_non_finite_parameters(make, message, value):
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"resolve_rel_change": -0.01}, "resolve_rel_change must be finite and >= 0"),
         ({"beta": 0.0}, r"beta must lie in \(0, 1\)"),
         ({"beta": 1.0}, r"beta must lie in \(0, 1\)"),
         ({"m_steps": 0}, "m_steps must be >= 1"),
         ({"m_steps": 2.5}, "m_steps must be an integer"),
     ],
-    ids=["negative-resolve_rel_change", "beta-0", "beta-1", "m_steps-0", "m_steps-2.5"],
+    ids=["beta-0", "beta-1", "m_steps-0", "m_steps-2.5"],
 )
 def test_real_time_strategy_rejects_out_of_range_parameters(kwargs, message):
     # Checked when the spec is made, not when a day starts.
