@@ -22,6 +22,7 @@ from .dp import (
     DEFAULT_GRID,
     SolverError,
     StateGrid,
+    ThresholdPolicy,
     solve_bvi,
     solve_ra,
 )
@@ -36,7 +37,6 @@ from .simulate import (
     simulate,
     write_vehicle_csv,
 )
-from .dp import ThresholdPolicy
 
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
@@ -74,19 +74,18 @@ def parse_arrival_spec(spec: str) -> ArrivalModel:
 
 
 def _load_config(args) -> dict:
+    """The --config file's values, checked before --gamma and --d2-km (or a
+    swept key) replace any of them, so no override hides a malformed value."""
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise UsageError(f"--config must hold a JSON object, got {type(config).__name__}")
-    overrides = {
-        "gamma": getattr(args, "gamma", None),
-        "d2_km": getattr(args, "d2_km", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
+        CostParams.from_config(config)
+    for key in ("gamma", "d2_km"):
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
     return config
 
 
@@ -137,12 +136,13 @@ def _emit(obj: dict, path: str | None) -> None:
         print(text)
 
 
+def _base_schedule(args) -> FlowSchedule:
+    """The --schedule CSV, or the bundled table, unscaled."""
+    return FlowSchedule.from_csv(args.schedule) if args.schedule else FlowSchedule.bundled()
+
+
 def _schedule_from(args) -> FlowSchedule:
-    schedule = (
-        FlowSchedule.from_csv(args.schedule)
-        if args.schedule
-        else FlowSchedule.bundled()
-    )
+    schedule = _base_schedule(args)
     if args.avg_flow is not None and args.scale is not None:
         raise UsageError("give either --scale or --avg-flow, not both")
     if args.avg_flow is not None:
@@ -170,6 +170,40 @@ def _policy_from(args, schedule, p, consts, seed):
     raise UsageError(f"unknown policy {name!r}")
 
 
+def _solve(solver: str, model: ArrivalModel, grid: StateGrid, p: CostParams, consts,
+           epsilon: float, emit_values: bool = False) -> dict:
+    """One solve's output fields, ``wall_time_s`` among them."""
+    if solver == "poisson":
+        if not isinstance(model, Exponential):
+            raise UsageError("the poisson solver requires exponential arrivals")
+        start = time.perf_counter()
+        sol = poisson.solve(model.rate, p, consts)
+        return {
+            "theta": sol.theta,
+            "c": sol.c,
+            "Z": sol.z,
+            "residual_norm": sol.residual_norm,
+            "iterations": sol.iterations,
+            "wall_time_s": time.perf_counter() - start,
+            "lambda": sol.rate,
+        }
+    if solver == "bvi":
+        result = solve_bvi(grid, model, p, consts, epsilon=epsilon)
+    else:
+        result = solve_ra(grid, model, p, consts)
+    fields = {
+        "theta": result.policy.theta,
+        "c": result.policy.c,
+        "Z": result.z,
+        "iterations": result.iterations,
+        "wall_time_s": result.wall_time_s,
+        "grid": {"m": grid.m, "n": grid.n, "step": grid.step},
+    }
+    if emit_values:
+        fields["values"] = result.value_function.values.tolist()
+    return fields
+
+
 def cmd_solve(args) -> int:
     p = _load_params(args)
     consts = compute_constants(p)
@@ -178,34 +212,7 @@ def cmd_solve(args) -> int:
     out = _run_meta(args, p)
     out["arrivals"] = model_to_json(model)
     out["solver"] = args.solver
-    if args.solver == "poisson":
-        if not isinstance(model, Exponential):
-            raise UsageError("the poisson solver requires exponential arrivals")
-        start = time.perf_counter()
-        sol = poisson.solve(model.rate, p, consts)
-        out.update(
-            theta=sol.theta,
-            c=sol.c,
-            Z=sol.z,
-            residual_norm=sol.residual_norm,
-            iterations=sol.iterations,
-            wall_time_s=time.perf_counter() - start,
-            **{"lambda": sol.rate},
-        )
-    else:
-        solver = solve_bvi if args.solver == "bvi" else solve_ra
-        kwargs = {"epsilon": args.epsilon} if args.solver == "bvi" else {}
-        result = solver(grid, model, p, consts, **kwargs)
-        out.update(
-            theta=result.policy.theta,
-            c=result.policy.c,
-            Z=result.z,
-            iterations=result.iterations,
-            wall_time_s=result.wall_time_s,
-            grid={"m": grid.m, "n": grid.n, "step": grid.step},
-        )
-        if args.emit_values:
-            out["values"] = result.value_function.values.tolist()
+    out.update(_solve(args.solver, model, grid, p, consts, args.epsilon, args.emit_values))
     _emit(out, args.output)
     return 0
 
@@ -228,88 +235,68 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _seed_means(args, schedule, policy, p, consts, fields: tuple[str, ...]) -> list:
+    """Each result field's mean over the days of ``args.seeds``; a day with
+    no vehicles is left out, and a field of only such days is ``""``."""
+    days = (simulate(schedule, policy, p, consts, seed, args.duration) for seed in args.seeds)
+    values = [[getattr(r, f) for f in fields] for r in days if r.avg_cost is not None]
+    if not values:
+        return [""] * len(fields)
+    return [float(np.mean(column)) for column in zip(*values)]
+
+
 def cmd_compare(args) -> int:
     p = _load_params(args)
     consts = compute_constants(p)
-    seeds = args.seeds
-    base = FlowSchedule.from_csv(args.schedule) if args.schedule else FlowSchedule.bundled()
+    base = _base_schedule(args)
     rows = []
     for scale in args.scales:
         schedule = base.with_scale(scale)
-        tau = calibrate_policy_a(schedule, p, consts, seed=seeds[0])
+        tau = calibrate_policy_a(schedule, p, consts, seed=args.seeds[0])
         for policy in (Baseline(), PolicyA(tau=tau), RealTimeStrategy()):
-            acs, fuels, times = [], [], []
-            for seed in seeds:
-                result = simulate(schedule, policy, p, consts, seed, args.duration)
-                if result.avg_cost is None:
-                    continue
-                acs.append(result.avg_cost)
-                fuels.append(result.avg_fuel)
-                times.append(result.avg_time)
-            rows.append(
-                {
-                    "policy": policy.name,
-                    "avg_flow_vph": schedule.average_flow(),
-                    "AC": float(np.mean(acs)) if acs else "",
-                    "avg_fuel_L": float(np.mean(fuels)) if fuels else "",
-                    "avg_time_s": float(np.mean(times)) if times else "",
-                }
-            )
+            ac, fuel, time_s = _seed_means(
+                args, schedule, policy, p, consts, ("avg_cost", "avg_fuel", "avg_time"))
+            rows.append({"policy": policy.name, "avg_flow_vph": schedule.average_flow(),
+                         "AC": ac, "avg_fuel_L": fuel, "avg_time_s": time_s})
     _write_csv(args.output, rows, ["policy", "avg_flow_vph", "AC", "avg_fuel_L", "avg_time_s"])
     return 0
 
 
 def cmd_sweep(args) -> int:
-    seeds = args.seeds
-    base = FlowSchedule.from_csv(args.schedule) if args.schedule else FlowSchedule.bundled()
-    rows = []
     swept = {"gamma": "gamma", "d2": "d2_km"}.get(args.param)
     if swept is None:
         raise UsageError(f"unknown sweep parameter {args.param!r}")
+    field, metric = (
+        ("avg_cost", "AC") if args.param == "gamma" else ("avg_cost_per_km", "AC_per_km")
+    )
     config = _load_config(args)
+    schedule = _base_schedule(args).with_average_flow(args.avg_flow)
+    rows = []
     for value in args.values:
         p = CostParams.from_config({**config, swept: value})
         consts = compute_constants(p)
-        schedule = base.with_average_flow(args.avg_flow)
-        metrics = []
-        for seed in seeds:
-            result = simulate(
-                schedule, RealTimeStrategy(), p, consts, seed, args.duration
-            )
-            metric = result.avg_cost if args.param == "gamma" else result.avg_cost_per_km
-            if metric is not None:
-                metrics.append(metric)
-        rows.append(
-            {
-                "param": args.param,
-                "value": value,
-                "metric": "AC" if args.param == "gamma" else "AC_per_km",
-                "mean": float(np.mean(metrics)) if metrics else "",
-            }
-        )
+        (mean,) = _seed_means(args, schedule, RealTimeStrategy(), p, consts, (field,))
+        rows.append({"param": args.param, "value": value, "metric": metric, "mean": mean})
     _write_csv(args.output, rows, ["param", "value", "metric", "mean"])
     return 0
 
 
 def cmd_bench(args) -> int:
+    """Times the calls ``solve`` makes: BVI, RA and, for exponential
+    arrivals only, the closed form."""
     p = _load_params(args)
     consts = compute_constants(p)
     grid = _grid_from(args)
     rows = []
     for spec in args.arrivals:
         model = parse_arrival_spec(spec)
-        timings = {"arrivals": spec, "grid": f"[{grid.m},{grid.n}]/{grid.step}"}
-        bvi = solve_bvi(grid, model, p, consts, epsilon=args.epsilon)
-        timings["bvi_s"] = bvi.wall_time_s
-        ra = solve_ra(grid, model, p, consts)
-        timings["ra_s"] = ra.wall_time_s
-        if isinstance(model, Exponential):
-            start = time.perf_counter()
-            poisson.solve(model.rate, p, consts)
-            timings["poisson_s"] = time.perf_counter() - start
-        else:
-            timings["poisson_s"] = ""  # closed form needs exponential arrivals
-        rows.append(timings)
+        row = {"arrivals": spec, "grid": f"[{grid.m},{grid.n}]/{grid.step}"}
+        for solver in ("bvi", "ra", "poisson"):
+            if solver == "poisson" and not isinstance(model, Exponential):
+                row["poisson_s"] = ""  # the closed form needs exponential arrivals
+                continue
+            row[f"{solver}_s"] = _solve(solver, model, grid, p, consts, args.epsilon)["wall_time_s"]
+        rows.append(row)
     _write_csv(args.output, rows, ["arrivals", "grid", "bvi_s", "ra_s", "poisson_s"])
     return 0
 

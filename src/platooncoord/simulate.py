@@ -35,6 +35,11 @@ FUEL_LINEAR = 4.07e-4  # L/s per (m/s)
 
 DEFAULT_SCHEDULE_RESOURCE = "i210_134_hourly_flows.csv"
 
+# Bounds on one run's size, checked before any arrival is drawn: a day of
+# the bundled schedule at full scale expects about 1.04e5 vehicles.
+MAX_RUN_HOURS = 24 * 366
+MAX_EXPECTED_ARRIVALS = 10**7
+
 
 def fuel_rate(speed: float) -> float:
     """Fuel burn [L/s] at a given speed [m/s]."""
@@ -259,19 +264,33 @@ def generate_arrivals(
 
     Each hour is an independent Poisson stream at that hour's scaled rate;
     restriction and restart at hour boundaries leave the process exact.
+    Raises ``ValueError`` before drawing if the run spans more than
+    ``MAX_RUN_HOURS`` hours or expects more than ``MAX_EXPECTED_ARRIVALS``
+    arrivals.
     """
     if not (math.isfinite(duration) and duration >= 0.0):
         raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
-    rng = make_rng(seed)
-    chunks: list[np.ndarray] = []
     n_hours = int(math.ceil(duration / 3600.0))
+    if n_hours > MAX_RUN_HOURS:
+        raise ValueError(
+            f"duration {duration!r} s spans {n_hours} hours, above MAX_RUN_HOURS = {MAX_RUN_HOURS}"
+        )
+    hours = []
     for hour in range(n_hours):
         start = 3600.0 * hour
         end = min(start + 3600.0, duration)
         rate = schedule.rate_at(start)
-        if rate <= 0.0:
-            continue
-        mean = (end - start) * rate
+        if rate > 0.0:
+            hours.append((start, end, rate, (end - start) * rate))
+    expected = sum(mean for *_, mean in hours)
+    if expected > MAX_EXPECTED_ARRIVALS:
+        raise ValueError(
+            f"the run expects {expected:.4g} arrivals, above "
+            f"MAX_EXPECTED_ARRIVALS = {MAX_EXPECTED_ARRIVALS}"
+        )
+    rng = make_rng(seed)
+    chunks: list[np.ndarray] = []
+    for start, end, rate, mean in hours:
         batch = int(mean + 6.0 * math.sqrt(mean)) + 8  # rarely exceeded
         chunks.append(_hour_arrivals(rng, start, end, rate, batch))
     t_arr = np.concatenate(chunks) if chunks else np.array([])

@@ -1,12 +1,30 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 
 import csv
+import importlib
 import json
 
+import numpy as np
 import pytest
 
 from platooncoord.cli import main, parse_arrival_spec
-from platooncoord import Constant, DiscreteRandom, Exponential
+from platooncoord import (
+    Baseline,
+    Constant,
+    CostParams,
+    DiscreteRandom,
+    Exponential,
+    FlowSchedule,
+    PolicyA,
+    RealTimeStrategy,
+    compute_constants,
+    nominal_params,
+    simulate,
+)
+from platooncoord.simulate import calibrate_policy_a
+
+# ``platooncoord.simulate`` is the function of that name, not the module.
+sim = importlib.import_module("platooncoord.simulate")
 
 
 GRID = "--grid=-50,150,1"
@@ -228,6 +246,101 @@ def test_sweep_single_value(tmp_path):
     assert float(rows[0]["mean"]) > 0.0
 
 
+def read_table(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def seed_means(schedule, policy, p, seeds, duration, fields):
+    """The oracle: each field's mean over the seeds' non-empty days."""
+    consts = compute_constants(p)
+    days = [simulate(schedule, policy, p, consts, seed, duration) for seed in seeds]
+    kept = [day for day in days if day.n_vehicles]
+    return [np.mean([getattr(day, f) for day in kept]) if kept else "" for f in fields]
+
+
+def assert_cells(row, expected):
+    for key, value in expected.items():
+        if value == "":
+            assert row[key] == "", key
+        else:
+            assert float(row[key]) == pytest.approx(value, rel=1e-12), key
+
+
+@pytest.mark.parametrize(
+    "scales, seeds, duration",
+    [((0.01, 0.03), (0, 1), 7200.0), ((0.002,), (0, 1, 2, 3), 600.0)],
+    ids=["two-scales", "some-empty-days"],
+)
+def test_compare_rows_are_seed_means_of_simulate(tmp_path, scales, seeds, duration):
+    out = tmp_path / "table.csv"
+    code = main(["compare", "--scales", *map(str, scales), "--seeds", *map(str, seeds),
+                 "--duration", str(duration), "-o", str(out)])
+    assert code == 0
+    rows = read_table(out)
+    p = nominal_params()
+    consts = compute_constants(p)
+    assert len(rows) == 3 * len(scales)
+    for i, scale in enumerate(scales):
+        schedule = FlowSchedule.bundled().with_scale(scale)
+        tau = calibrate_policy_a(schedule, p, consts, seed=seeds[0])
+        for row, policy in zip(rows[3 * i:], (Baseline(), PolicyA(tau=tau), RealTimeStrategy())):
+            ac, fuel, time_s = seed_means(schedule, policy, p, seeds, duration,
+                                          ("avg_cost", "avg_fuel", "avg_time"))
+            assert row["policy"] == policy.name
+            assert_cells(row, {"avg_flow_vph": schedule.average_flow(), "AC": ac,
+                               "avg_fuel_L": fuel, "avg_time_s": time_s})
+    if duration == 600.0:
+        counts = [simulate(schedule, Baseline(), p, consts, s, duration).n_vehicles for s in seeds]
+        assert 0 in counts and any(counts)  # the mean skips the empty days
+
+
+@pytest.mark.parametrize(
+    "param, key, field, values, avg_flow, seeds, duration",
+    [
+        ("gamma", "gamma", "avg_cost", (0.5, 0.9), 45.0, (0, 1), 7200.0),
+        ("d2", "d2_km", "avg_cost_per_km", (20.0, 70.0), 45.0, (0, 1), 7200.0),
+        ("gamma", "gamma", "avg_cost", (0.9,), 10.0, (0, 1, 2, 3), 600.0),
+    ],
+    ids=["gamma", "d2", "gamma-some-empty-days"],
+)
+def test_sweep_rows_are_seed_means_of_simulate(
+    tmp_path, param, key, field, values, avg_flow, seeds, duration
+):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--param", param, "--values", *map(str, values),
+                 "--avg-flow", str(avg_flow), "--seeds", *map(str, seeds),
+                 "--duration", str(duration), "-o", str(out)])
+    assert code == 0
+    rows = read_table(out)
+    schedule = FlowSchedule.bundled().with_average_flow(avg_flow)
+    assert len(rows) == len(values)
+    for row, value in zip(rows, values):
+        p = CostParams.from_config({key: value})
+        (mean,) = seed_means(schedule, RealTimeStrategy(), p, seeds, duration, (field,))
+        assert (row["param"], row["metric"]) == (param, "AC" if param == "gamma" else "AC_per_km")
+        assert_cells(row, {"value": value, "mean": mean})
+    if duration == 600.0:
+        p, consts = nominal_params(), compute_constants(nominal_params())
+        counts = [simulate(schedule, Baseline(), p, consts, s, duration).n_vehicles for s in seeds]
+        assert 0 in counts and any(counts)  # the mean skips the empty days
+
+
+def test_zero_duration_tables_have_empty_cells(tmp_path):
+    compare, sweep = tmp_path / "table.csv", tmp_path / "sweep.csv"
+    assert main(["compare", "--scales", "0.01", "--seeds", "0", "1", "--duration", "0",
+                 "-o", str(compare)]) == 0
+    assert main(["sweep", "--param", "d2", "--values", "20", "70", "--seeds", "0",
+                 "--duration", "0", "-o", str(sweep)]) == 0
+    rows = read_table(compare)
+    assert [row["policy"] for row in rows] == ["baseline", "policy_a", "rts"]
+    for row in rows:
+        assert float(row["avg_flow_vph"]) > 0.0
+        assert row["AC"] == row["avg_fuel_L"] == row["avg_time_s"] == ""
+    assert [(row["value"], row["mean"]) for row in read_table(sweep)] == [
+        ("20.0", ""), ("70.0", "")]
+
+
 def test_sweep_unknown_param(capsys):
     code = main(["sweep", "--param", "eta", "--values", "0.1"])
     assert code == 1
@@ -353,6 +466,54 @@ def test_config_must_be_an_object_of_numbers(tmp_path, capsys, config, message):
     path.write_text(config)
     code, out = run(tmp_path, "solve", "--solver", "poisson", "--arrivals", "exponential:0.02",
                     "--config", str(path))
+    assert code == 1
+    assert not out.exists()
+    assert message in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize(
+    "key, argv",
+    [
+        ("gamma", ["solve", "--solver", "poisson", "--arrivals", "exponential:0.02",
+                   "--gamma", "0.9"]),
+        ("d2_km", ["solve", "--solver", "poisson", "--arrivals", "exponential:0.02",
+                   "--d2-km", "40"]),
+        ("gamma", ["sweep", "--param", "gamma", "--values", "0.9", "--seeds", "0",
+                   "--duration", "3600"]),
+        ("d2_km", ["sweep", "--param", "d2", "--values", "40", "--seeds", "0",
+                   "--duration", "3600"]),
+    ],
+    ids=["gamma-flag", "d2-flag", "swept-gamma", "swept-d2"],
+)
+def test_config_is_checked_before_its_key_is_overridden(tmp_path, capsys, key, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: "x"}))
+    code, out = run(tmp_path, *argv, "--config", str(path))
+    assert code == 1
+    assert not out.exists()
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert f"config key {key!r} must be a finite number" in error
+
+
+@pytest.mark.parametrize(
+    "flow, duration, message",
+    [
+        ("1e9", "3600", "expects 1e+09 arrivals, above MAX_EXPECTED_ARRIVALS"),
+        ("10", "1e10", "duration 10000000000.0 s spans 2777778 hours, above MAX_RUN_HOURS"),
+        ("0", "1e10", "spans 2777778 hours, above MAX_RUN_HOURS"),
+    ],
+    ids=["expected-arrivals", "hours", "hours-of-zero-flow"],
+)
+def test_oversized_run_is_a_usage_error_before_drawing(tmp_path, capsys, monkeypatch,
+                                                       flow, duration, message):
+    def no_draws(*args):
+        raise AssertionError("arrivals were drawn")
+
+    monkeypatch.setattr(sim, "_hour_arrivals", no_draws)
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text(SCHEDULE_HEADER + "".join(f"{h},{flow},0\n" for h in range(24)))
+    code, out = run(tmp_path, "simulate", "--policy", "baseline", "--schedule", str(schedule),
+                    "--duration", duration)
     assert code == 1
     assert not out.exists()
     assert message in json.loads(capsys.readouterr().err)["error"]

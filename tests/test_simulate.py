@@ -162,6 +162,19 @@ def test_generate_arrivals_matches_scalar_draws(schedule, duration):
         assert t.dtype == x.dtype == np.float64
 
 
+def test_bundled_days_lie_far_inside_the_run_size_bounds():
+    day = FlowSchedule.bundled()
+    expected = sum(day.rate_at(3600.0 * h) * 3600.0 for h in range(24))
+    assert 1e5 < expected < sim.MAX_EXPECTED_ARRIVALS / 50
+    assert 24 * 100 < sim.MAX_RUN_HOURS
+
+
+def test_generate_arrivals_accepts_a_run_of_max_hours():
+    flow = sim.MAX_EXPECTED_ARRIVALS / sim.MAX_RUN_HOURS / 1000.0
+    t, _ = generate_arrivals(flat_schedule(flow), 0, 3600.0 * sim.MAX_RUN_HOURS)
+    assert 0 < len(t) < sim.MAX_EXPECTED_ARRIVALS
+
+
 @pytest.mark.parametrize("batch", [1, 2, 7, 200])
 def test_hour_arrivals_leaves_the_stream_where_scalar_draws_do(batch):
     # Small batches take the path that draws more than one batch per hour.
