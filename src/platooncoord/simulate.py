@@ -6,7 +6,8 @@ stream of both branches); the predicted-headway state propagates through
 S_{k+1} = X_{k+1} + U_k with the realized time reduction U_k. Decisions
 are made one vehicle at a time through a decision rule bound once per day,
 or, under the real-time strategy, per vehicle to thresholds solved from the
-day's headways before any vehicle decides; fuel, time and cost are then
+day's headways before any vehicle decides; Baseline, whose U is always 0,
+decides the whole day at once on arrays; fuel, time and cost are then
 accounted for the whole day at once, on arrays, and vehicle records are
 built only when they are read.
 """
@@ -84,7 +85,11 @@ class FlowSchedule:
         base = sum(f1 + f2 for _, f1, f2 in self.rows) / len(self.rows)
         if base == 0.0:
             raise ValueError("cannot rescale a schedule with no flow")
-        return self.with_scale(flow_vph / base)
+        scale = flow_vph / base
+        if not 0.0 < scale <= 1.0:
+            raise ValueError(f"average flow must lie in (0, {base!r}] veh/h for this "
+                             f"schedule, got {flow_vph!r}")
+        return self.with_scale(scale)
 
     @classmethod
     def from_csv(cls, path, scale: float = 1.0) -> "FlowSchedule":
@@ -598,12 +603,12 @@ class _Day(NamedTuple):
 
 def _run_day(x_arr: np.ndarray, policy: PolicySpec, p: CostParams,
              consts: CostConstants) -> _Day:
-    """The day of ``simulate`` and ``calibrate_policy_a`` over given
-    detector gaps: one sequential decision per vehicle through a rule bound
-    once for the day (per vehicle to its solved thresholds under the
-    real-time strategy), then the costs of the whole day at once."""
-    gaps = x_arr.tolist()
-    n = len(gaps)
+    """The day of ``simulate`` over given detector gaps: one sequential
+    decision per vehicle through a rule bound once for the day (per vehicle
+    to its solved thresholds under the real-time strategy), or, for
+    Baseline, every decision at once on arrays, then the costs of the whole
+    day at once."""
+    n = len(x_arr)
     if isinstance(policy, RealTimeStrategy):
         theta_k, c_k = _rts_thresholds(x_arr, policy, p, consts)
         rules = map(_threshold_rule, theta_k, c_k, repeat(p))
@@ -614,27 +619,26 @@ def _run_day(x_arr: np.ndarray, policy: PolicySpec, p: CostParams,
         rule = _decision_rule(policy, p)
         theta, c = _fixed_thresholds(policy)
         theta_k, c_k = [theta] * n, [c] * n
-    s_k: list[float] = []
-    u_k: list[float] = []
-    merged_k: list[bool] = []
-    # Before the first vehicle, S = inf and U = 0 make the recursion S_1 = X_1.
-    s, u = math.inf, 0.0
-    for x in gaps:
-        s = step_state(s, u, x)
-        u, merged = rule(s, x)
-        s_k.append(s)
-        u_k.append(u)
-        merged_k.append(merged)
-    u_arr = np.fromiter(u_k, float, n)
-    merged_arr = np.fromiter(merged_k, bool, n)
-    return _Day(
-        np.fromiter(s_k, float, n),
-        u_arr,
-        merged_arr,
-        theta_k,
-        c_k,
-        *_vehicle_costs(u_arr, merged_arr, p),
-    )
+    if isinstance(policy, Baseline):
+        # Baseline's U is always 0, so S = X + 0 and no decision reads another.
+        s_arr, u_arr = x_arr + 0.0, np.zeros(n)
+        merged_arr = (0.0 <= s_arr) & (s_arr <= SAFETY_REACTION_TIME)
+    else:
+        s_k: list[float] = []
+        u_k: list[float] = []
+        merged_k: list[bool] = []
+        # Before the first vehicle, S = inf and U = 0 make the recursion S_1 = X_1.
+        s, u = math.inf, 0.0
+        for x in x_arr.tolist():
+            s = step_state(s, u, x)
+            u, merged = rule(s, x)
+            s_k.append(s)
+            u_k.append(u)
+            merged_k.append(merged)
+        s_arr = np.fromiter(s_k, float, n)
+        u_arr = np.fromiter(u_k, float, n)
+        merged_arr = np.fromiter(merged_k, bool, n)
+    return _Day(s_arr, u_arr, merged_arr, theta_k, c_k, *_vehicle_costs(u_arr, merged_arr, p))
 
 
 def calibrate_policy_a(
@@ -666,28 +670,30 @@ def calibrate_policy_a(
 def _policy_a_average_costs(x_arr: np.ndarray, taus, p: CostParams,
                             consts: CostConstants) -> list[float | None]:
     """``_run_day(x_arr, PolicyA(tau), p, consts).avg_cost`` for each tau in
-    order, bit for bit, from one full day.
+    order, bit for bit, from the day on which no vehicle merges (U = 0 and
+    merged = False throughout), which is Policy A's day at tau = -inf.
 
     Moving the threshold from tau_prev to tau changes Policy A's answer for a
     given S only at vehicles whose gap x has (x < tau_prev) != (x < tau).
     From each such vehicle the day is re-decided, with S = X + U of the
     vehicle before, until a vehicle's (U, merged) equals the previous day's:
     from there every S, and so every decision, agrees again up to the next
-    such vehicle. Each tau's patched day is then priced in full."""
-    policies = [PolicyA(tau=float(tau)) for tau in taus]
-    day = _run_day(x_arr, policies[0], p, consts)
-    u, merged = day.u.copy(), day.merged.copy()
-    # The decisions are read and patched as lists; each tau's changes then
-    # reach the arrays in one indexed assignment before pricing.
-    u_k, merged_k = day.u.tolist(), day.merged.tolist()
-    averages = [day.avg_cost]
+    such vehicle. The re-decided vehicles of every tau are priced in one
+    call; each tau then writes its own into the day's costs and sums them."""
     gaps = x_arr.tolist()
     n = len(gaps)
-    for prev, policy in zip(policies, policies[1:]):
+    u_k, merged_k = [0.0] * n, [False] * n
+    # Every tau's re-decided vehicles and their (U, merged), one tau after another.
+    changed: list[int] = []
+    new_u_k: list[float] = []
+    new_merged_k: list[bool] = []
+    ends: list[int] = []  # where each tau's vehicles end in ``changed``
+    prev_tau = -math.inf
+    for tau in taus:
+        policy = PolicyA(tau=float(tau))
         rule = _decision_rule(policy, p)
-        flips = np.flatnonzero((x_arr < prev.tau) != (x_arr < policy.tau)).tolist()
+        flips = np.flatnonzero((x_arr < prev_tau) != (x_arr < policy.tau)).tolist()
         redecided_to = 0  # vehicles before this one already hold this tau's decision
-        changed: list[int] = []
         for k in flips:
             if k < redecided_to:
                 continue
@@ -700,14 +706,19 @@ def _policy_a_average_costs(x_arr: np.ndarray, taus, p: CostParams,
                 u_k[j], merged_k[j] = new_u, new_merged
                 prev_u = new_u
                 changed.append(j)
+                new_u_k.append(new_u)
+                new_merged_k.append(new_merged)
             redecided_to = j + 1
-        if not changed:
-            averages.append(averages[-1])  # no decision changed: the same day
-            continue
-        u[changed] = [u_k[j] for j in changed]
-        merged[changed] = [merged_k[j] for j in changed]
-        cost = _vehicle_costs(u, merged, p)[-1]
-        averages.append(float(cost.sum()) / n)
+        ends.append(len(changed))
+        prev_tau = policy.tau
+    cost = _vehicle_costs(np.zeros(n), np.zeros(n, bool), p)[-1]
+    new_cost = _vehicle_costs(np.array(new_u_k), np.array(new_merged_k, bool), p)[-1]
+    averages = []
+    start = 0
+    for end in ends:
+        cost[changed[start:end]] = new_cost[start:end]
+        averages.append(float(cost.sum()) / n if n else None)
+        start = end
     return averages
 
 

@@ -206,6 +206,23 @@ def test_simulate_zero_flow_schedule_exit_code(tmp_path, capsys):
     assert "no flow" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("flow", ["5000", "0", "-5", "nan", "inf"])
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--policy", "baseline"], ["sweep", "--param", "gamma", "--values", "0.9"]],
+    ids=["simulate", "sweep"],
+)
+def test_out_of_range_avg_flow_names_the_flows(tmp_path, capsys, command, flow):
+    code = main([*command, f"--avg-flow={flow}", "-o", str(tmp_path / "out")])
+    assert code == 1
+    assert not (tmp_path / "out").exists()
+    largest = FlowSchedule.bundled().average_flow()
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        f"average flow must lie in (0, {largest!r}] veh/h for this schedule, "
+        f"got {float(flow)!r}"
+    )
+
+
 def test_simulate_seed_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("PLATOON_DP_SEED", "11")
     _, out = run(

@@ -93,6 +93,21 @@ def test_schedule_average_flow_scaling():
     assert schedule.average_flow() == pytest.approx(173.0)
 
 
+@pytest.mark.parametrize("flow", [5000.0, 4326.05, 0.0, -10.0, 5e-324, math.nan, math.inf,
+                                  -math.inf])
+def test_out_of_range_average_flow_names_the_flows(flow):
+    # The bundled schedule's own average, 4326.04 veh/h, is the largest it allows.
+    schedule = FlowSchedule.bundled()
+    largest = schedule.average_flow()
+    assert schedule.with_average_flow(largest).scale == 1.0
+    with pytest.raises(ValueError) as err:
+        schedule.with_average_flow(flow)
+    assert str(err.value) == (
+        f"average flow must lie in (0, {largest!r}] veh/h for this schedule, got {flow!r}"
+    )
+    assert "4326.04" in str(err.value)
+
+
 def test_arrival_gap_mean():
     schedule = flat_schedule(360.0)
     _, x = generate_arrivals(schedule, seed=0, duration=1.05e6)
@@ -361,6 +376,23 @@ def test_calibrate_policy_a(p, consts):
 )
 def test_calibrate_policy_a_other_grids(p, consts, flow, taus):
     check_calibration(p, consts, flow, taus)
+
+
+@pytest.mark.parametrize("duration", [0.0, 3600.0, 86400.0], ids=["empty", "hour", "day"])
+@pytest.mark.parametrize("flow", [60.0, 173.0, 1500.0])
+def test_calibration_averages_match_a_day_per_tau(p, consts, flow, duration):
+    # tau = 1e6 lies above every gap and 30 above most gaps of the faster days,
+    # so the first step flips nearly every vehicle of the no-merge day it
+    # starts from; the next steps go back down.
+    _, x_arr = generate_arrivals(FlowSchedule.bundled().with_average_flow(flow), 0, duration)
+    for taus in ([1e6, 0.0, 7.5], [30.0, 0.0]):
+        want = [sim._run_day(x_arr, PolicyA(tau=tau), p, consts).avg_cost for tau in taus]
+        assert sim._policy_a_average_costs(x_arr, taus, p, consts) == want
+    if duration == 0.0:
+        assert want == [None, None]
+        schedule = FlowSchedule.bundled().with_average_flow(flow)
+        assert calibrate_policy_a(schedule, p, consts, seed=0, duration=duration,
+                                  taus=np.array([7.5, 0.0])) == 7.5
 
 
 def test_calibrate_policy_a_rejects_bad_taus(p, consts):
@@ -979,6 +1011,47 @@ def test_fixed_policy_days_match_the_per_vehicle_loop(p, consts, policy):
         _, x_arr = generate_arrivals(schedule, seed)
         result = simulate(schedule, policy, p, consts, seed)
         assert [(r.s, r.u, r.merged) for r in result.records] == oracle_day(x_arr, policy, p)
+
+
+def oracle_run_day(x_arr, policy, p, consts):
+    """``_run_day`` for a fixed policy with the decisions of ``oracle_day``,
+    one vehicle at a time, and the day's costs on arrays."""
+    rows = oracle_day(x_arr, policy, p)
+    s, u = (np.array([row[i] for row in rows], float) for i in (0, 1))
+    merged = np.array([row[2] for row in rows], bool)
+    n = len(rows)
+    theta, c = sim._fixed_thresholds(policy)
+    return sim._Day(s, u, merged, [theta] * n, [c] * n, *sim._vehicle_costs(u, merged, p))
+
+
+@pytest.mark.parametrize("vehicles", ["day", "empty", "one"])
+def test_baseline_array_day_matches_the_per_vehicle_loop(tmp_path, monkeypatch, p, consts,
+                                                         vehicles):
+    schedule = FlowSchedule.bundled().with_average_flow(1500.0)
+    t_arr, _ = generate_arrivals(schedule, 3)
+    # Up to the second arrival time only the first vehicle arrives.
+    duration = {"day": 86400.0, "empty": 0.0, "one": float(t_arr[1])}[vehicles]
+    results = [simulate(schedule, Baseline(), p, consts, 3, duration)]
+    monkeypatch.setattr(sim, "_run_day", oracle_run_day)
+    results.append(simulate(schedule, Baseline(), p, consts, 3, duration))
+    got, want = results
+    assert got.n_vehicles == {"day": len(t_arr), "empty": 0, "one": 1}[vehicles]
+    assert got.to_json() == want.to_json()
+    assert ([dataclasses.astuple(r) for r in got.records]
+            == [dataclasses.astuple(r) for r in want.records])
+    write_vehicle_csv(tmp_path / "got.csv", got)
+    write_vehicle_csv(tmp_path / "want.csv", want)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_baseline_array_day_at_the_rule_boundaries(p, consts):
+    # Gaps at and beside SAFETY_REACTION_TIME and every other edge the rules test.
+    x_arr = np.array([s for s in edge_states(p) if s >= 0.0])
+    got = sim._run_day(x_arr, Baseline(), p, consts)
+    want = oracle_run_day(x_arr, Baseline(), p, consts)
+    assert [np.asarray(a).tolist() for a in got] == [np.asarray(a).tolist() for a in want]
+    assert got.merged[x_arr == SAFETY_REACTION_TIME].all()
+    assert not got.merged[x_arr > SAFETY_REACTION_TIME].any()
 
 
 def test_calibration_at_gap_valued_taus(p, consts):
