@@ -2,8 +2,8 @@
 
 The integrand must accept numpy arrays. All pending subintervals (possibly
 belonging to several independent integrals) are refined level by level, so
-each refinement costs a handful of vectorized evaluations instead of one
-Python call per point.
+each refinement level costs one vectorized evaluation instead of one Python
+call per point.
 """
 
 from __future__ import annotations
@@ -46,46 +46,48 @@ def adaptive_simpson_batch(
     if not np.any(live):
         return totals
 
-    # Uniform level-0 subdivision of every live interval.
+    # Uniform level-0 subdivision of every live interval. Its edges and
+    # midpoints are evaluated in one call, an interior edge only once.
     splits = max(1, int(initial_splits))
-    edges = np.linspace(lo_all[live], hi_all[live], splits + 1, axis=1)
+    edges = np.linspace(lo_all[live], hi_all[live], splits + 1).T
     lo = edges[:, :-1].ravel()
     hi = edges[:, 1:].ravel()
     owner = np.repeat(np.flatnonzero(live), splits)
-    tols = np.full(lo.shape, tol / splits)
+    # Every pending subinterval has been halved equally often, so one local
+    # tolerance serves them all.
+    local_tol = tol / splits
 
     mid = 0.5 * (lo + hi)
-    flo = np.asarray(f(lo), dtype=float)
-    fhi = np.asarray(f(hi), dtype=float)
-    fmid = np.asarray(f(mid), dtype=float)
+    fvals = np.asarray(f(np.concatenate([edges.ravel(), mid])), dtype=float)
+    fedges = fvals[: edges.size].reshape(edges.shape)
+    flo, fhi, fmid = fedges[:, :-1].ravel(), fedges[:, 1:].ravel(), fvals[edges.size :]
     coarse = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
     for level in range(max_levels):
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flmid = np.asarray(f(lmid), dtype=float)
-        frmid = np.asarray(f(rmid), dtype=float)
-        sixth = (hi - lo) / 12.0
-        left = sixth * (flo + 4.0 * flmid + fmid)
-        right = sixth * (fmid + 4.0 * frmid + fhi)
-        fine = left + right
+        # Both halves of every pending subinterval, left halves first; their
+        # midpoints are evaluated in one call.
+        n = len(lo)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        flo, fhi = np.concatenate([flo, fmid]), np.concatenate([fmid, fhi])
+        sixth = (hi[n:] - lo[:n]) / 12.0
+        mid = 0.5 * (lo + hi)
+        fmid = np.asarray(f(mid), dtype=float)
+        halves = np.concatenate([sixth, sixth]) * (flo + 4.0 * fmid + fhi)
+        fine = halves[:n] + halves[n:]
         err = fine - coarse
-        done = np.abs(err) < 15.0 * tols
+        done = np.abs(err) < 15.0 * local_tol
         if level == max_levels - 1:
             done = np.ones_like(done)
         np.add.at(totals, owner[done], (fine + err / 15.0)[done])
-        keep = ~done
-        if not np.any(keep):
+        if done.all():
             break
-        # Split the unconverged subintervals in two for the next level.
-        lo = np.concatenate([lo[keep], mid[keep]])
-        hi = np.concatenate([mid[keep], hi[keep]])
-        flo = np.concatenate([flo[keep], fmid[keep]])
-        fhi = np.concatenate([fmid[keep], fhi[keep]])
-        mid = np.concatenate([lmid[keep], rmid[keep]])
-        fmid = np.concatenate([flmid[keep], frmid[keep]])
-        coarse = np.concatenate([left[keep], right[keep]])
-        owner = np.concatenate([owner[keep], owner[keep]])
-        tols = np.concatenate([tols[keep] / 2.0, tols[keep] / 2.0])
+        # Both halves of each unconverged subinterval go to the next level.
+        keep = np.flatnonzero(~done)
+        pair = np.concatenate([keep, keep + n])
+        lo, mid, hi = lo[pair], mid[pair], hi[pair]
+        flo, fmid, fhi = flo[pair], fmid[pair], fhi[pair]
+        coarse = halves[pair]
+        owner = owner[pair % n]
+        local_tol /= 2.0
 
     return signs * totals

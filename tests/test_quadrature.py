@@ -59,3 +59,37 @@ def test_sharp_feature_refinement():
     val = adaptive_simpson(f, 0.0, 1.0, 1e-12)
     exact = math.sqrt(2.0 * math.pi * 1e-4)
     assert val == pytest.approx(exact, rel=1e-8)
+
+
+def _recording(f):
+    """f, plus a copy of every array it is called on."""
+    calls = []
+
+    def recorded(x):
+        calls.append(np.array(x))
+        return f(x)
+
+    return recorded, calls
+
+
+def test_one_integrand_call_per_level():
+    # A cubic converges at the first refinement level: level 0 plus one.
+    f, calls = _recording(lambda x: x**3 - 2.0 * x)
+    adaptive_simpson(f, 0.0, 2.0, 1e-6, initial_splits=4)
+    assert len(calls) == 2
+    # A jump never meets the tolerance, so every level up to max_levels runs.
+    f, calls = _recording(lambda x: np.where(x < 0.3, 0.0, 1.0))
+    adaptive_simpson(f, 0.0, 1.0, 1e-300, initial_splits=4, max_levels=5)
+    assert len(calls) == 1 + 5
+
+
+def test_level_zero_evaluates_each_edge_once():
+    # Two live intervals (one reversed) and an empty one: each live interval
+    # has splits + 1 edges and splits midpoints.
+    splits = 8
+    f, calls = _recording(np.exp)
+    adaptive_simpson_batch(f, [(0.0, 1.0), (2.0, 2.0), (3.0, 1.5)], 1e-10,
+                           initial_splits=splits)
+    level0 = calls[0]
+    assert level0.size == 2 * (2 * splits + 1)
+    assert np.unique(level0).size == level0.size
