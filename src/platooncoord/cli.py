@@ -330,7 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--solver", choices=["bvi", "ra", "poisson"], required=True)
     sp.add_argument("--arrivals", required=True, help="e.g. exponential:0.02")
-    sp.add_argument("--grid", help="m,n,step (default -100,400,0.25)")
+    sp.add_argument(
+        "--grid", help="written --grid=m,n,step, as m may be negative (default -100,400,0.25)"
+    )
     sp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     sp.add_argument("--emit-values", action="store_true")
     sp.set_defaults(func=cmd_solve)
@@ -374,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="solver timing comparison")
     add_common(sp)
     sp.add_argument("--arrivals", nargs="+", required=True)
-    sp.add_argument("--grid", help="m,n,step (default -100,400,0.25)")
+    sp.add_argument(
+        "--grid", help="written --grid=m,n,step, as m may be negative (default -100,400,0.25)"
+    )
     sp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     sp.set_defaults(func=cmd_bench)
 

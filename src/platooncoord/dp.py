@@ -29,6 +29,11 @@ class SolverError(RuntimeError):
     """Raised when a solver fails to converge or its inputs are unusable."""
 
 
+# Largest accepted grid: 500x DEFAULT_GRID, 8 MB per float array. It bounds
+# memory only; solve time still grows as nodes x candidate thresholds.
+MAX_GRID_NODES = 10**6
+
+
 @dataclass(frozen=True)
 class StateGrid:
     """Uniform grid of predicted-headway states on [m, n] [s]."""
@@ -45,6 +50,10 @@ class StateGrid:
         if not self.m < self.n:
             raise ValueError("grid lower bound must be below upper bound")
         count = (self.n - self.m) / self.step
+        if not count + 1 <= MAX_GRID_NODES:  # also catches an infinite count
+            raise ValueError(
+                f"grid has {count + 1:.6g} nodes, more than MAX_GRID_NODES={MAX_GRID_NODES}"
+            )
         if abs(count - round(count)) > 1e-9:
             raise ValueError("(n - m) must be an integer multiple of step")
 
@@ -160,47 +169,43 @@ class _AtomQuadrature:
     """Point-mass expectation on a grid for discrete/constant headways."""
 
     def __init__(self, grid: StateGrid, atoms):
-        self.size = grid.size
-        top = self.size - 1
-        self.atoms = []
+        idx = np.arange(grid.size)
+        top = grid.size - 1
+        self.atoms = []  # (prob, frac, lo, hi): the clamped nodes around node_i + h
         for h, prob in atoms:
             pos = h / grid.step
-            if pos >= top:
-                # At or beyond the grid span the atom weighs V(n) exactly; a
-                # huge frac would cancel catastrophically.
-                self.atoms.append((prob, top, 0.0))
-                continue
-            base = int(pos)
-            self.atoms.append((prob, base, pos - base))
-
-    def expect(self, values: np.ndarray) -> np.ndarray:
-        """E[V(node_i + X)] at every node, with V(n) beyond the grid."""
-        idx = np.arange(self.size)
-        top = self.size - 1
-        ev = np.zeros_like(values)
-        for prob, base, frac in self.atoms:
+            # At or beyond the grid span the atom weighs V(n) exactly; a huge
+            # frac would cancel catastrophically.
+            base, frac = (top, 0.0) if pos >= top else (int(pos), pos - int(pos))
             lo = np.minimum(idx + base, top)
-            hi = np.minimum(idx + base + 1, top)
-            ev += prob * ((1.0 - frac) * values[lo] + frac * values[hi])
-        return ev
+            self.atoms.append((prob, frac, lo, np.minimum(lo + 1, top)))
+        # lo[0] is an atom's whole-step offset. A node reads no node closer above
+        # it than the shortest offset, so a block of that many nodes reads none of
+        # its own but, through an atom shorter than one step, itself.
+        self.self_weight = sum(
+            prob * (1.0 - frac) for prob, frac, lo, _ in self.atoms if lo[0] == 0
+        )
+        self.block = max(min(int(lo[0]) for _, _, lo, _ in self.atoms), 1)
+
+    def expect(self, values: np.ndarray, nodes=slice(None)) -> np.ndarray:
+        """E[V(node_i + X)] at the given nodes, with V(n) beyond the grid."""
+        return sum(
+            prob * ((1.0 - frac) * values[lo[nodes]] + frac * values[hi[nodes]])
+            for prob, frac, lo, hi in self.atoms
+        )
 
     def backward_values(self, values: np.ndarray, top_index: int, g_nodes: np.ndarray,
                         gamma: float) -> None:
-        """Fill values[i] = G_i + gamma * E[V] for i below top_index, in place.
-        An atom shorter than one step weighs node i itself; that term is linear
-        in values[i], so it is solved for instead of read before it is written.
+        """Fill values[i] = G_i + gamma * E[V] for i below top_index, in place,
+        one block at a time from the top down. An atom shorter than one step
+        weighs node i itself; that term is linear in values[i], so it is solved
+        for instead of read before it is written.
         """
-        top = self.size - 1
-        self_weight = sum(prob * (1.0 - frac) for prob, base, frac in self.atoms if base == 0)
-        scale = 1.0 - gamma * self_weight
-        for i in range(top_index - 1, -1, -1):
-            values[i] = 0.0  # the self term, solved for through scale
-            acc = 0.0
-            for prob, base, frac in self.atoms:
-                lo = min(i + base, top)
-                hi = min(i + base + 1, top)
-                acc += prob * ((1.0 - frac) * values[lo] + frac * values[hi])
-            values[i] = (g_nodes[i] + gamma * acc) / scale
+        scale = 1.0 - gamma * self.self_weight
+        for stop in range(top_index, 0, -self.block):
+            block = slice(max(stop - self.block, 0), stop)
+            values[block] = 0.0  # the self term, solved for through scale
+            values[block] = (g_nodes[block] + gamma * self.expect(values, block)) / scale
 
 
 def _quadrature(grid: StateGrid, model: ArrivalModel):

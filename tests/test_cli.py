@@ -142,6 +142,17 @@ def test_solve_non_finite_grid_exit_code(capsys):
     assert "finite" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize(
+    "grid", ["--grid=-100,400,1e-6", "--grid=-1e308,1e308,1"], ids=["tiny-step", "infinite-count"]
+)
+def test_solve_oversized_grid_is_a_usage_error(capsys, grid):
+    code = main(["solve", "--solver", "bvi", "--arrivals", "exponential:0.02", grid])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "more than MAX_GRID_NODES=1000000" in json.loads(err[0])["error"]
+
+
 def test_solve_numerical_failure_exit_code(capsys):
     # No node of this grid lies in [c_n, theta_n], so recursive approximation
     # has no candidate threshold, which must surface as exit code 2.

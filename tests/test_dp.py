@@ -23,7 +23,7 @@ from platooncoord import (
 )
 from platooncoord.arrivals import ArrivalModel, atoms_of
 from platooncoord.cost import SINGULARITY_GUARD, CostConstants, CostParams
-from platooncoord.dp import _quadrature, greedy_actions
+from platooncoord.dp import MAX_GRID_NODES, _quadrature, greedy_actions
 
 
 # Scalar reference implementations of E[V(a + X)] and of a one-state
@@ -93,6 +93,28 @@ def bellman_backup(
     return best_val, best_action, merged
 
 
+def atom_backward_oracle(grid: StateGrid, model: ArrivalModel, values: np.ndarray,
+                         top_index: int, g_nodes: np.ndarray, gamma: float) -> None:
+    """RA's backward pass for atom models, one node and one atom at a time:
+    values[i] = G_i + gamma * E[V(node_i + X)] below top_index, in place."""
+    top = grid.size - 1
+    atoms = []
+    for h, prob in atoms_of(model):
+        pos = h / grid.step
+        base, frac = (top, 0.0) if pos >= top else (int(pos), pos - int(pos))
+        atoms.append((prob, base, frac))
+    self_weight = sum(prob * (1.0 - frac) for prob, base, frac in atoms if base == 0)
+    scale = 1.0 - gamma * self_weight
+    for i in range(top_index - 1, -1, -1):
+        values[i] = 0.0  # the self term, solved for through scale
+        acc = 0.0
+        for prob, base, frac in atoms:
+            lo = min(i + base, top)
+            hi = min(i + base + 1, top)
+            acc += prob * ((1.0 - frac) * values[lo] + frac * values[hi])
+        values[i] = (g_nodes[i] + gamma * acc) / scale
+
+
 
 
 def test_grid_validation():
@@ -111,6 +133,20 @@ def test_grid_rejects_non_finite(field, bad):
     bounds[field] = bad
     with pytest.raises(ValueError, match="finite"):
         StateGrid(**bounds)
+
+
+@pytest.mark.parametrize(
+    "m, n, step",
+    [(-100.0, 400.0, 1e-6), (-1e308, 1e308, 1.0), (0.0, float(MAX_GRID_NODES), 1.0)],
+    ids=["tiny-step", "infinite-count", "one-node-too-many"],
+)
+def test_grid_rejects_more_than_max_nodes(m, n, step):
+    with pytest.raises(ValueError, match=f"nodes, more than MAX_GRID_NODES={MAX_GRID_NODES}"):
+        StateGrid(m=m, n=n, step=step)
+
+
+def test_grid_accepts_max_nodes():
+    assert StateGrid(m=0.0, n=MAX_GRID_NODES - 1.0, step=1.0).size == MAX_GRID_NODES
 
 
 def test_grid_nodes():
@@ -188,6 +224,42 @@ def test_expect_matches_scalar_oracle(model):
         oracle = np.array([expected_value(vf, float(a), model) for a in grid.nodes()])
         # Relative to the table's scale: a signed table can average to ~0.
         assert np.max(np.abs(quad.expect(v) - oracle)) <= 1e-12 * np.max(np.abs(v))
+
+
+def _backward_models(grid):
+    return [
+        Exponential(0.02),
+        Exponential(0.05),
+        DiscreteRandom(atoms=((15.0, 0.4), (8.0, 0.6))),
+        Constant(10.0),
+        Constant(0.5 * grid.step),  # block of one node, with a self term
+        DiscreteRandom(atoms=((6.0, 0.5), (1e6, 0.5))),  # one atom beyond the grid top
+    ]
+
+
+@pytest.mark.parametrize(
+    "grid", [REDUCED_GRID, StateGrid(m=-50.0, n=150.0, step=0.25)], ids=["reduced", "quarter"]
+)
+def test_backward_values_solve_the_backup_below_the_cut(p, grid):
+    gamma = p.gamma
+    rng = np.random.default_rng(3)
+    g_nodes = rng.normal(size=grid.size)
+    for model in _backward_models(grid):
+        quad = _quadrature(grid, model)
+        for top_index in (1, grid.size // 3 + 1, grid.size - 1):
+            start = np.full(grid.size, np.nan)  # read before written would leave NaN
+            start[top_index:] = rng.uniform(-5.0, 5.0, grid.size - top_index)
+            values = start.copy()
+            quad.backward_values(values, top_index, g_nodes, gamma)
+            where = (model, top_index)
+            assert np.array_equal(values[top_index:], start[top_index:]), where
+            below = slice(0, top_index)
+            backup = g_nodes[below] + gamma * quad.expect(values)[below]
+            assert np.all(np.abs(values[below] - backup) <= 1e-12 * np.max(np.abs(values))), where
+            if atoms_of(model) is not None:
+                oracle = start.copy()
+                atom_backward_oracle(grid, model, oracle, top_index, g_nodes, gamma)
+                assert np.array_equal(values, oracle), where
 
 
 def test_expected_value_outside_grid():
