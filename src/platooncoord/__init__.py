@@ -8,6 +8,7 @@ from .arrivals import (
     Exponential,
     RateEstimator,
     make_rng,
+    rate_estimates,
 )
 from .cost import (
     CostConstants,
@@ -74,6 +75,7 @@ __all__ = [
     "make_rng",
     "nominal_params",
     "platoon_bonus",
+    "rate_estimates",
     "residuals",
     "reward",
     "reward_cruise",

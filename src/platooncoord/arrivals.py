@@ -1,4 +1,4 @@
-"""Renewal inter-arrival models and the discounted arrival-rate estimator.
+"""Renewal inter-arrival models and the discounted arrival-rate estimate.
 
 The models are validated parameter records. The solvers in ``dp`` and the
 day generator in ``simulate`` own each family's maths.
@@ -98,40 +98,51 @@ def model_to_json(model: ArrivalModel) -> dict:
     return {"type": "constant", "headway": model.headway}
 
 
+def check_window(beta: float, m_steps: int) -> None:
+    """Reject beta outside (0, 1) and an m_steps that is not an integer >= 1."""
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
+    if isinstance(m_steps, bool) or not isinstance(m_steps, numbers.Integral):
+        raise ValueError(f"m_steps must be an integer, got {m_steps!r}")
+    if m_steps < 1:
+        raise ValueError(f"m_steps must be >= 1, got {m_steps!r}")
+
+
+def rate_estimates(gaps, beta: float, m_steps: int) -> np.ndarray:
+    """Each vehicle's arrival-rate estimate [veh/s] from headways in arrival
+    order, 1 / ((1 - beta) * sum of beta^j x_{k-j} over j < m_steps), by one
+    convolution. Until the window fills, only the headways so far count."""
+    check_window(beta, m_steps)
+    gaps = np.asarray(gaps, dtype=float)
+    bad = gaps[~(gaps > 0.0)]
+    if bad.size:
+        raise ValueError(f"headway must be positive, got {bad[0].item()!r}")
+    if not gaps.size:
+        return np.empty(0)
+    weights = beta ** np.arange(min(m_steps, len(gaps)))
+    return 1.0 / ((1.0 - beta) * np.convolve(gaps, weights)[: len(gaps)])
+
+
 @dataclass
 class RateEstimator:
-    """Discounted rolling estimate of the arrival rate from recent headways.
-
-    The estimate is the reciprocal of the discounted sum of the last
-    ``m_steps`` inter-arrival times with discount ``beta``. Fewer than
-    ``m_steps`` observations use only the terms available (warm-up).
-    """
+    """Streaming form of ``rate_estimates``: ``observe`` each headway in
+    arrival order; ``estimate`` is the latest one's rate."""
 
     beta: float = 0.9
     m_steps: int = 50
-    _window: deque = field(init=False, repr=False)
+    _window: deque = field(init=False, repr=False)  # the last m_steps headways, oldest first
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta!r}")
-        if not isinstance(self.m_steps, numbers.Integral):
-            raise ValueError(f"m_steps must be an integer, got {self.m_steps!r}")
-        if self.m_steps < 1:
-            raise ValueError(f"m_steps must be >= 1, got {self.m_steps!r}")
+        check_window(self.beta, self.m_steps)
         self._window = deque(maxlen=self.m_steps)
 
     def observe(self, headway: float) -> None:
         if not headway > 0.0:
             raise ValueError(f"headway must be positive, got {headway!r}")
-        self._window.appendleft(headway)
+        self._window.append(headway)
 
     def estimate(self) -> float:
         """Estimated arrival rate [veh/s]."""
         if not self._window:
             raise ValueError("no headways observed yet")
-        acc = 0.0
-        weight = 1.0
-        for headway in self._window:
-            acc += weight * headway
-            weight *= self.beta
-        return 1.0 / ((1.0 - self.beta) * acc)
+        return rate_estimates(self._window, self.beta, self.m_steps).item(-1)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrivals import RNG_ALGORITHM, RateEstimator, make_rng
+from .arrivals import RNG_ALGORITHM, check_window, make_rng, rate_estimates
 from .cost import CostConstants, CostParams
 from .dp import SolverError, ThresholdPolicy
 from . import poisson
@@ -168,7 +168,7 @@ class RealTimeStrategy:
     name: str = field(default="rts", init=False)
 
     def __post_init__(self):
-        RateEstimator(beta=self.beta, m_steps=self.m_steps)  # raises on a bad beta or m_steps
+        check_window(self.beta, self.m_steps)
 
 
 PolicySpec = Baseline | PolicyA | PolicyB | RealTimeStrategy
@@ -443,18 +443,6 @@ def account_costs(
     return VehicleRecord(k, t, x, s, u, merged, *_vehicle_costs(u, merged, p))
 
 
-def _rts_rates(gaps: np.ndarray, spec: RealTimeStrategy) -> np.ndarray:
-    """Every vehicle's ``RateEstimator`` estimate after its own headway, from
-    one convolution of the gaps with the discount weights beta^j, j <
-    m_steps, the warm-up included. Vehicle 0's rate is the estimator's bit
-    for bit; the others agree to rounding."""
-    bad = gaps[~(gaps > 0.0)]
-    if bad.size:
-        raise ValueError(f"headway must be positive, got {bad[0].item()!r}")
-    weights = spec.beta ** np.arange(min(spec.m_steps, len(gaps)))
-    return 1.0 / ((1.0 - spec.beta) * np.convolve(gaps, weights)[: len(gaps)])
-
-
 def _secant_start(good: list[poisson.PoissonSolution], rate: float,
                   consts: CostConstants) -> tuple[float, float]:
     """The warm start at ``rate`` along a walk: the secant through the last
@@ -488,7 +476,7 @@ def _rts_thresholds(gaps: np.ndarray, spec: RealTimeStrategy, p: CostParams,
     theta_k, c_k = [consts.theta_n] * n, [consts.c_n] * n
     if n == 0:
         return theta_k, c_k
-    rates = _rts_rates(gaps, spec).tolist()
+    rates = rate_estimates(gaps, spec.beta, spec.m_steps).tolist()
 
     def solve(rate: float, starts) -> poisson.PoissonSolution | None:
         for init in starts:
@@ -660,15 +648,14 @@ def calibrate_policy_a(
     _, x_arr = generate_arrivals(schedule, seed, duration)
     best_tau = float(taus[0])
     best_ac = math.inf
-    for tau, avg_cost in zip(taus, _policy_a_average_costs(x_arr, taus, p, consts)):
+    for tau, avg_cost in zip(taus, _policy_a_average_costs(x_arr, taus, p)):
         if avg_cost is not None and avg_cost < best_ac:
             best_ac = avg_cost
             best_tau = float(tau)
     return best_tau
 
 
-def _policy_a_average_costs(x_arr: np.ndarray, taus, p: CostParams,
-                            consts: CostConstants) -> list[float | None]:
+def _policy_a_average_costs(x_arr: np.ndarray, taus, p: CostParams) -> list[float | None]:
     """``_run_day(x_arr, PolicyA(tau), p, consts).avg_cost`` for each tau in
     order, bit for bit, from the day on which no vehicle merges (U = 0 and
     merged = False throughout), which is Policy A's day at tau = -inf.

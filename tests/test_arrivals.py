@@ -1,11 +1,19 @@
-"""Arrival models, serialization, and the rate estimator."""
+"""Arrival models, serialization, and the rate estimate in its batch and
+streaming forms."""
 
 from collections import deque
 
 import numpy as np
 import pytest
 
-from platooncoord import Constant, DiscreteRandom, Exponential, RateEstimator, make_rng
+from platooncoord import (
+    Constant,
+    DiscreteRandom,
+    Exponential,
+    RateEstimator,
+    make_rng,
+    rate_estimates,
+)
 from platooncoord.arrivals import atoms_of, model_from_json, model_to_json
 
 
@@ -74,6 +82,9 @@ def test_estimator_rejects_bad_input():
         est.estimate()
     with pytest.raises(ValueError):
         RateEstimator(beta=1.0)
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="m_steps must be an integer"):
+            RateEstimator(m_steps=flag)
     # The window is filled only through observe, which checks each headway.
     with pytest.raises(TypeError):
         RateEstimator(_window=deque([-1.0]))
@@ -93,6 +104,34 @@ def test_estimator_long_run_average():
             recip.append(1.0 / est.estimate())
     corrected = rate / (1.0 - beta**m)
     assert 1.0 / np.mean(recip) == pytest.approx(corrected, rel=0.05)
+
+
+@pytest.mark.parametrize("beta, m", [(0.9, 50), (0.5, 7), (0.99, 500)])
+def test_estimator_streams_the_batch_estimate(beta, m):
+    # After every observation the streaming estimate is the batch estimate of
+    # the headways so far, exactly, during the warm-up and after it.
+    gaps = make_rng(5).exponential(20.0, size=2 * m + 20).tolist()
+    est = RateEstimator(beta=beta, m_steps=m)
+    for k, x in enumerate(gaps):
+        est.observe(x)
+        assert est.estimate() == rate_estimates(gaps[: k + 1], beta, m)[-1]
+
+
+def test_rate_estimates_of_an_empty_day():
+    rates = rate_estimates([], 0.9, 50)
+    assert rates.shape == (0,) and rates.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "beta, m, message",
+    [
+        (1.0, 50, r"beta must lie in \(0, 1\)"),
+        (0.9, True, "m_steps must be an integer"),
+    ],
+)
+def test_rate_estimates_checks_beta_and_m_steps_as_the_estimator(beta, m, message):
+    with pytest.raises(ValueError, match=message):
+        rate_estimates([3.0], beta, m)
 
 
 def test_rng_reproducibility():

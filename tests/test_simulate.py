@@ -15,6 +15,7 @@ from platooncoord import (
     PolicyB,
     RealTimeStrategy,
     poisson,
+    rate_estimates,
     simulate,
 )
 from platooncoord.arrivals import RateEstimator, make_rng
@@ -356,7 +357,7 @@ def check_calibration(p, consts, flow, taus):
     ]
     assert tau == taus[int(np.argmin(costs))]
     _, x_arr = generate_arrivals(schedule, 0, duration)
-    assert sim._policy_a_average_costs(x_arr, taus, p, consts) == costs
+    assert sim._policy_a_average_costs(x_arr, taus, p) == costs
     return costs
 
 
@@ -387,7 +388,7 @@ def test_calibration_averages_match_a_day_per_tau(p, consts, flow, duration):
     _, x_arr = generate_arrivals(FlowSchedule.bundled().with_average_flow(flow), 0, duration)
     for taus in ([1e6, 0.0, 7.5], [30.0, 0.0]):
         want = [sim._run_day(x_arr, PolicyA(tau=tau), p, consts).avg_cost for tau in taus]
-        assert sim._policy_a_average_costs(x_arr, taus, p, consts) == want
+        assert sim._policy_a_average_costs(x_arr, taus, p) == want
     if duration == 0.0:
         assert want == [None, None]
         schedule = FlowSchedule.bundled().with_average_flow(flow)
@@ -419,9 +420,9 @@ def reference_rts(spec, x_arr, p, consts):
     through the walk's last two solutions (the last alone on the first
     step), clamped to the proven bounds, and retries cold once; when both
     fail it keeps the walk's last good pair, or (theta_n, c_n) before the
-    first success. The rates are the convolution that
+    first success. The rates are the ``rate_estimates`` that
     ``test_rts_rates_match_the_estimator`` checks."""
-    rates = sim._rts_rates(x_arr, spec).tolist()
+    rates = rate_estimates(x_arr, spec.beta, spec.m_steps).tolist()
     pairs = [(consts.theta_n, consts.c_n)] * len(rates)
 
     def attempt(rate, init):
@@ -571,7 +572,8 @@ def rts_day(p, consts):
 def rts_day_vehicle(rate):
     """The vehicle of ``rts_day`` whose rate this is."""
     _, x_arr = generate_arrivals(flat_schedule(150.0), 1, 1200.0)
-    return sim._rts_rates(x_arr, RealTimeStrategy()).tolist().index(rate)
+    spec = RealTimeStrategy()
+    return rate_estimates(x_arr, spec.beta, spec.m_steps).tolist().index(rate)
 
 
 def secant(rate, a, b):
@@ -670,11 +672,17 @@ def rising_schedule():
 
 
 def estimator_rates(x_arr, spec):
-    estimator = RateEstimator(beta=spec.beta, m_steps=spec.m_steps)
+    """Each vehicle's rate estimate written out as a scalar loop: the
+    reciprocal of (1 - beta) times its last m_steps headways, newest first,
+    weighted 1, beta, beta^2, ..."""
+    gaps = x_arr.tolist()
     rates = []
-    for x in x_arr.tolist():
-        estimator.observe(x)
-        rates.append(estimator.estimate())
+    for k in range(len(gaps)):
+        acc, weight = 0.0, 1.0
+        for x in reversed(gaps[max(0, k + 1 - spec.m_steps) : k + 1]):
+            acc += weight * x
+            weight *= spec.beta
+        rates.append(1.0 / ((1.0 - spec.beta) * acc))
     return rates
 
 
@@ -688,7 +696,7 @@ def test_rts_rates_match_the_estimator(spec):
     _, x_arr = generate_arrivals(flat_schedule(173.0), 3, 3600.0)
     assert 50 < len(x_arr) < 500
     want = estimator_rates(x_arr, spec)
-    got = sim._rts_rates(x_arr, spec)
+    got = rate_estimates(x_arr, spec.beta, spec.m_steps)
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
     assert got.item(0) == want[0]
 
@@ -698,15 +706,17 @@ def test_rts_first_rate_is_the_estimators_bit_for_bit(seed):
     # These days' first rates (15-34 veh/s) are the ones whose cold solve
     # exhausts a 1 GB address-space cap; the day must fail on that same call.
     _, x_arr = generate_arrivals(FlowSchedule.bundled().with_average_flow(173.0), seed)
-    estimator = RateEstimator()
-    estimator.observe(x_arr.item(0))
-    rate = sim._rts_rates(x_arr, RealTimeStrategy()).item(0)
-    assert rate == estimator.estimate() > 10.0
+    spec = RealTimeStrategy()
+    want = estimator_rates(x_arr[:1], spec)[0]
+    rate = rate_estimates(x_arr, spec.beta, spec.m_steps).item(0)
+    assert rate == want > 10.0
 
 
 def test_rts_rates_reject_a_non_positive_headway():
     with pytest.raises(ValueError, match="headway must be positive, got 0.0"):
-        sim._rts_rates(np.array([3.0, 0.0, 2.0]), RealTimeStrategy())
+        rate_estimates(np.array([3.0, 0.0, 2.0]), 0.9, 50)
+    with pytest.raises(ValueError, match="headway must be positive, got nan"):
+        rate_estimates(np.array([3.0, math.nan]), 0.9, 50)
 
 
 def test_rts_empty_day(p, consts):
@@ -718,7 +728,7 @@ def test_rts_empty_day(p, consts):
 def test_rts_walks_up_and_down_as_the_reference(p, consts, spec):
     schedule = rising_schedule()
     _, x_arr = generate_arrivals(schedule, 1, 5400.0)
-    rates = sim._rts_rates(x_arr, spec)
+    rates = rate_estimates(x_arr, spec.beta, spec.m_steps)
     above = int(np.sum(rates > rates[0]))
     assert 10 < above < len(rates) - 10
     result = simulate(schedule, spec, p, consts, seed=1, duration=5400.0)
@@ -765,8 +775,10 @@ def test_policy_specs_reject_non_finite_parameters(make, message, value):
         ({"beta": 1.0}, r"beta must lie in \(0, 1\)"),
         ({"m_steps": 0}, "m_steps must be >= 1"),
         ({"m_steps": 2.5}, "m_steps must be an integer"),
+        ({"m_steps": True}, "m_steps must be an integer"),
+        ({"m_steps": False}, "m_steps must be an integer"),
     ],
-    ids=["beta-0", "beta-1", "m_steps-0", "m_steps-2.5"],
+    ids=["beta-0", "beta-1", "m_steps-0", "m_steps-2.5", "m_steps-True", "m_steps-False"],
 )
 def test_real_time_strategy_rejects_out_of_range_parameters(kwargs, message):
     # Checked when the spec is made, not when a day starts.
