@@ -33,6 +33,9 @@ class SolverError(RuntimeError):
 # memory only; solve time still grows as nodes x candidate thresholds.
 MAX_GRID_NODES = 10**6
 
+# Value iteration gives up after this many sweeps.
+MAX_SWEEPS = 100000
+
 
 @dataclass(frozen=True)
 class StateGrid:
@@ -235,6 +238,14 @@ class SolveResult:
     wall_time_s: float
 
 
+def _q_values(ev, g_nodes, h_nodes, nodes, gamma, consts, step):
+    """Cruise and merge Q-values on the expected values ev at each node.
+    Cruising needs an action one step below t0, so its Q is -inf from there
+    up; the merge Q is NaN wherever ``_reward_nodes`` put NaN."""
+    action_ok = nodes < consts.t0 - step - 1e-12
+    return np.where(action_ok, h_nodes + gamma * ev, -np.inf), g_nodes + gamma * ev
+
+
 def _greedy(grid, ev, g_nodes, h_nodes, gamma, consts):
     """Vectorised greedy backup on the expected values ev at each node.
 
@@ -243,11 +254,7 @@ def _greedy(grid, ev, g_nodes, h_nodes, gamma, consts):
     ties) and the extracted threshold policy, or None if it never merges.
     """
     nodes = grid.nodes()
-    action_ok = nodes < consts.t0 - grid.step - 1e-12
-    q1 = np.where(action_ok, h_nodes + gamma * ev, -np.inf)
-    qm = np.where(
-        nodes <= consts.t0 - SINGULARITY_GUARD, g_nodes + gamma * ev, -np.inf
-    )
+    q1, qm = _q_values(ev, g_nodes, h_nodes, nodes, gamma, consts, grid.step)
     run_max = np.maximum.accumulate(q1)
     below_max = np.concatenate(([-np.inf], run_max[:-1]))
     records = q1 > below_max
@@ -289,10 +296,7 @@ def bvi_sweep(
 ) -> np.ndarray:
     """One synchronous sweep of plateau-bounded value iteration; expect(values)
     gives E[V(node + X)] at every node."""
-    ev = expect(values)
-    action_ok = nodes < consts.t0 - step - 1e-12
-    q1 = np.where(action_ok, h_nodes + gamma * ev, -np.inf)
-    qm = g_nodes + gamma * ev
+    q1, qm = _q_values(expect(values), g_nodes, h_nodes, nodes, gamma, consts, step)
     new = values.copy()
     for i in range(top_index + 1):
         non_merge = np.max(q1[:i]) if i > 0 else -np.inf
@@ -310,7 +314,6 @@ def solve_bvi(
     p: CostParams,
     consts: CostConstants,
     epsilon: float = 0.002,
-    max_sweeps: int = 100000,
 ) -> SolveResult:
     """Plateau-bounded value iteration to tolerance epsilon."""
     if not epsilon > 0.0:
@@ -335,9 +338,9 @@ def solve_bvi(
             raise SolverError(f"value iteration diverged: sweep {iterations} delta is {delta!r}")
         if delta < epsilon:
             break
-        if iterations >= max_sweeps:
+        if iterations >= MAX_SWEEPS:
             raise SolverError(
-                f"value iteration did not converge in {max_sweeps} sweeps "
+                f"value iteration did not converge in {MAX_SWEEPS} sweeps "
                 f"(last delta {delta:.3g})"
             )
     _, _, policy = _greedy(grid, quad.expect(values), g_nodes, h_nodes, p.gamma, consts)

@@ -20,7 +20,6 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import repeat, starmap
-from typing import NamedTuple
 
 import numpy as np
 
@@ -92,23 +91,26 @@ class FlowSchedule:
         return self.with_scale(scale)
 
     @classmethod
-    def from_csv(cls, path, scale: float = 1.0) -> "FlowSchedule":
+    def from_csv(cls, path) -> "FlowSchedule":
         with open(path, newline="") as fh:
-            return cls._parse(fh, scale)
+            return cls._parse(fh)
 
     @classmethod
-    def bundled(cls, scale: float = 1.0) -> "FlowSchedule":
+    def bundled(cls) -> "FlowSchedule":
         """The packaged I-210/134 hourly flow table."""
         ref = resources.files("platooncoord.data") / DEFAULT_SCHEDULE_RESOURCE
         with ref.open("r", newline="") as fh:
-            return cls._parse(fh, scale)
+            return cls._parse(fh)
 
     @classmethod
-    def _parse(cls, fh, scale: float) -> "FlowSchedule":
+    def _parse(cls, fh) -> "FlowSchedule":
         reader = csv.DictReader(fh)
-        expected = {"hour", "flow1_vph", "flow2_vph"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise ValueError(f"schedule CSV must have columns {sorted(expected)}")
+        expected = sorted(["hour", "flow1_vph", "flow2_vph"])
+        # Each name once: a repeated column would let its last field win.
+        if reader.fieldnames is None or sorted(reader.fieldnames) != expected:
+            raise ValueError(
+                f"schedule CSV must have columns {expected}, each once; got {reader.fieldnames}"
+            )
         rows = []
         for row in reader:
             try:
@@ -119,7 +121,7 @@ class FlowSchedule:
                 rows.append((int(row["hour"]), float(row["flow1_vph"]), float(row["flow2_vph"])))
             except ValueError as exc:
                 raise ValueError(f"schedule CSV line {reader.line_num}: {exc}") from None
-        return cls(rows=tuple(rows), scale=scale)
+        return cls(rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -192,22 +194,23 @@ class VehicleRecord:
 
 
 class VehicleRecords(Sequence):
-    """A day's vehicle records in arrival order, built from the day's
-    columns each time they are read; no record is kept."""
+    """One simulated day, in arrival order: an attribute per ``VehicleRecord``
+    field after k, given in field order, arrays up to ``cost`` and lists for
+    ``theta`` and ``c``. Each record is built when it is read; none is kept."""
 
-    def __init__(self, t: np.ndarray, x: np.ndarray, day: _Day):
-        self._arrays = (t, x, day.s, day.u, day.merged, day.speed, day.coord_fuel,
-                        day.cruise_fuel, day.travel_time, day.cost)
-        self._theta, self._c = day.theta, day.c
+    def __init__(self, *columns):
+        (self.t, self.x, self.s, self.u, self.merged, self.speed, self.coord_fuel,
+         self.cruise_fuel, self.travel_time, self.cost, self.theta, self.c) = columns
+        self._arrays = columns[:-2]
 
     def __len__(self) -> int:
-        return len(self._theta)
+        return len(self.theta)
 
     def rows(self) -> Iterator[tuple]:
         """Each record's field values in order, as plain Python values,
         without building the records."""
         lists = [a.tolist() for a in self._arrays]
-        return zip(range(1, len(self) + 1), *lists, self._theta, self._c)
+        return zip(range(1, len(self) + 1), *lists, self.theta, self.c)
 
     def __iter__(self) -> Iterator[VehicleRecord]:
         return starmap(VehicleRecord, self.rows())
@@ -226,7 +229,7 @@ class VehicleRecords(Sequence):
         if not 0 <= i < n:
             raise IndexError("vehicle record index out of range")
         return VehicleRecord(i + 1, *(a.item(i) for a in self._arrays),
-                             self._theta[i], self._c[i])
+                             self.theta[i], self.c[i])
 
 
 @dataclass
@@ -382,26 +385,26 @@ def _policy_a_rule(tau: float, p: CostParams) -> _Rule:
     return rule
 
 
-def _baseline_rule(s: float, x: float) -> tuple[float, bool]:
-    return 0.0, 0.0 <= s <= SAFETY_REACTION_TIME
+def _baseline_rule(s, x):
+    """U is always 0; merged when 0 <= S <= SAFETY_REACTION_TIME. On floats,
+    or elementwise on arrays of S."""
+    return 0.0, (0.0 <= s) & (s <= SAFETY_REACTION_TIME)
 
 
-def _decision_rule(policy: PolicySpec, p: CostParams) -> _Rule:
-    """The rule of a fixed (non-adaptive) policy, bound once per day."""
+def _decision_rule(policy: PolicySpec, p: CostParams
+                   ) -> tuple[_Rule, float | None, float | None]:
+    """A fixed (non-adaptive) policy's rule, bound once per day, and the
+    (theta_k, c_k) it records for every vehicle."""
     if isinstance(policy, Baseline):
-        return _baseline_rule
+        return _baseline_rule, None, None
     if isinstance(policy, PolicyA):
-        return _policy_a_rule(policy.tau, p)
+        return _policy_a_rule(policy.tau, p), None, None
     if isinstance(policy, PolicyB):
-        return _threshold_rule(policy.policy.theta, policy.policy.c, p)
+        theta, c = policy.policy.theta, policy.policy.c
+        return _threshold_rule(theta, c, p), theta, c
+    if isinstance(policy, RealTimeStrategy):
+        raise ValueError("real-time strategy decisions need a day's thresholds; use simulate")
     raise TypeError(f"unknown policy spec: {policy!r}")
-
-
-def _fixed_thresholds(policy: PolicySpec) -> tuple[float | None, float | None]:
-    """The (theta_k, c_k) a fixed policy records for every vehicle."""
-    if isinstance(policy, PolicyB):
-        return policy.policy.theta, policy.policy.c
-    return None, None
 
 
 def _vehicle_costs(u, merged, p: CostParams):
@@ -507,10 +510,8 @@ def apply_policy(
     policy: PolicySpec, s: float, x: float, p: CostParams
 ) -> tuple[float, bool, float | None, float | None]:
     """Realized (U, merged, theta_k, c_k) for one vehicle under a fixed policy."""
-    if isinstance(policy, RealTimeStrategy):
-        raise ValueError("real-time strategy decisions need a day's thresholds; use simulate")
-    u, merged = _decision_rule(policy, p)(s, x)
-    return (u, merged, *_fixed_thresholds(policy))
+    rule, theta, c = _decision_rule(policy, p)
+    return (*rule(s, x), theta, c)
 
 
 def simulate(
@@ -523,79 +524,39 @@ def simulate(
 ) -> SimulationResult:
     """Run a single-junction day (or ``duration`` seconds) under one policy."""
     t_arr, x_arr = generate_arrivals(schedule, seed, duration)
-    day = _run_day(x_arr, policy, p, consts)
-    n = day.n_vehicles
+    records = _run_day(t_arr, x_arr, policy, p, consts)
+    n = len(records)
+    total_cost = float(records.cost.sum())
+    total_fuel = float((records.coord_fuel + records.cruise_fuel).sum())
+    total_time = float(records.travel_time.sum())
     span_km = (p.d1 + p.d2) / 1000.0
+    # Platoon sizes: the first vehicle and every vehicle that does not merge lead one.
+    leaders = np.flatnonzero(np.concatenate(([True], ~records.merged[1:])))
+    sizes, counts = np.unique(np.diff(leaders, append=n), return_counts=True)
     return SimulationResult(
         policy_id=policy.name,
         seed=seed,
         rng_algorithm=RNG_ALGORITHM,
-        records=VehicleRecords(t_arr, x_arr, day),
+        records=records,
         n_vehicles=n,
-        total_cost=day.total_cost,
-        total_fuel=day.total_fuel,
-        total_time=day.total_time,
-        avg_cost=day.avg_cost,
-        avg_cost_per_km=day.total_cost / (n * span_km) if n else None,
-        avg_fuel=day.total_fuel / n if n else None,
-        avg_time=day.total_time / n if n else None,
-        platoon_histogram=day.platoon_histogram,
+        total_cost=total_cost,
+        total_fuel=total_fuel,
+        total_time=total_time,
+        avg_cost=total_cost / n if n else None,
+        avg_cost_per_km=total_cost / (n * span_km) if n else None,
+        avg_fuel=total_fuel / n if n else None,
+        avg_time=total_time / n if n else None,
+        platoon_histogram=dict(zip(sizes.tolist(), counts.tolist())) if n else {},
     )
 
 
-class _Day(NamedTuple):
-    """One simulated day as per-vehicle columns in arrival order."""
-
-    s: np.ndarray
-    u: np.ndarray
-    merged: np.ndarray
-    theta: list[float | None]
-    c: list[float | None]
-    speed: np.ndarray
-    coord_fuel: np.ndarray
-    cruise_fuel: np.ndarray
-    travel_time: np.ndarray
-    cost: np.ndarray
-
-    @property
-    def n_vehicles(self) -> int:
-        return len(self.u)
-
-    @property
-    def total_cost(self) -> float:
-        return float(self.cost.sum())
-
-    @property
-    def total_fuel(self) -> float:
-        return float((self.coord_fuel + self.cruise_fuel).sum())
-
-    @property
-    def total_time(self) -> float:
-        return float(self.travel_time.sum())
-
-    @property
-    def avg_cost(self) -> float | None:
-        return self.total_cost / self.n_vehicles if self.n_vehicles else None
-
-    @property
-    def platoon_histogram(self) -> dict[int, int]:
-        """Platoon size -> count. The first vehicle and every vehicle that
-        does not merge lead a platoon."""
-        n = self.n_vehicles
-        if n == 0:
-            return {}
-        leaders = np.flatnonzero(np.concatenate(([True], ~self.merged[1:])))
-        sizes, counts = np.unique(np.diff(leaders, append=n), return_counts=True)
-        return dict(zip(sizes.tolist(), counts.tolist()))
-
-
-def _run_day(x_arr: np.ndarray, policy: PolicySpec, p: CostParams,
-             consts: CostConstants) -> _Day:
-    """The day of ``simulate`` over given detector gaps: one sequential
-    decision per vehicle through a rule bound once for the day (per vehicle
-    to its solved thresholds under the real-time strategy), or, for
-    Baseline, every decision at once on arrays, then the costs of the whole
-    day at once."""
+def _run_day(t_arr: np.ndarray, x_arr: np.ndarray, policy: PolicySpec, p: CostParams,
+             consts: CostConstants) -> VehicleRecords:
+    """The records of ``simulate``'s day over given detector times and gaps:
+    one sequential decision per vehicle through a rule bound once for the
+    day (per vehicle to its solved thresholds under the real-time strategy),
+    or, for Baseline, every decision at once on arrays, then the costs of
+    the whole day at once."""
     n = len(x_arr)
     if isinstance(policy, RealTimeStrategy):
         theta_k, c_k = _rts_thresholds(x_arr, policy, p, consts)
@@ -604,13 +565,12 @@ def _run_day(x_arr: np.ndarray, policy: PolicySpec, p: CostParams,
         def rule(s, x):  # vehicle k decides through its own (theta_k, c_k)
             return next(rules)(s, x)
     else:
-        rule = _decision_rule(policy, p)
-        theta, c = _fixed_thresholds(policy)
+        rule, theta, c = _decision_rule(policy, p)
         theta_k, c_k = [theta] * n, [c] * n
-    if isinstance(policy, Baseline):
+    if rule is _baseline_rule:
         # Baseline's U is always 0, so S = X + 0 and no decision reads another.
         s_arr, u_arr = x_arr + 0.0, np.zeros(n)
-        merged_arr = (0.0 <= s_arr) & (s_arr <= SAFETY_REACTION_TIME)
+        merged_arr = _baseline_rule(s_arr, x_arr)[1]
     else:
         s_k: list[float] = []
         u_k: list[float] = []
@@ -626,7 +586,8 @@ def _run_day(x_arr: np.ndarray, policy: PolicySpec, p: CostParams,
         s_arr = np.fromiter(s_k, float, n)
         u_arr = np.fromiter(u_k, float, n)
         merged_arr = np.fromiter(merged_k, bool, n)
-    return _Day(s_arr, u_arr, merged_arr, theta_k, c_k, *_vehicle_costs(u_arr, merged_arr, p))
+    return VehicleRecords(t_arr, x_arr, s_arr, u_arr, merged_arr,
+                          *_vehicle_costs(u_arr, merged_arr, p), theta_k, c_k)
 
 
 def calibrate_policy_a(
@@ -656,9 +617,10 @@ def calibrate_policy_a(
 
 
 def _policy_a_average_costs(x_arr: np.ndarray, taus, p: CostParams) -> list[float | None]:
-    """``_run_day(x_arr, PolicyA(tau), p, consts).avg_cost`` for each tau in
-    order, bit for bit, from the day on which no vehicle merges (U = 0 and
-    merged = False throughout), which is Policy A's day at tau = -inf.
+    """``simulate``'s average cost under ``PolicyA(tau)`` for the day of gaps
+    ``x_arr``, for each tau in order, bit for bit, from the day on which no
+    vehicle merges (U = 0 and merged = False throughout), which is Policy
+    A's day at tau = -inf.
 
     Moving the threshold from tau_prev to tau changes Policy A's answer for a
     given S only at vehicles whose gap x has (x < tau_prev) != (x < tau).
@@ -677,9 +639,9 @@ def _policy_a_average_costs(x_arr: np.ndarray, taus, p: CostParams) -> list[floa
     ends: list[int] = []  # where each tau's vehicles end in ``changed``
     prev_tau = -math.inf
     for tau in taus:
-        policy = PolicyA(tau=float(tau))
-        rule = _decision_rule(policy, p)
-        flips = np.flatnonzero((x_arr < prev_tau) != (x_arr < policy.tau)).tolist()
+        tau = PolicyA(tau=float(tau)).tau  # checked as a policy's tau
+        rule = _policy_a_rule(tau, p)
+        flips = np.flatnonzero((x_arr < prev_tau) != (x_arr < tau)).tolist()
         redecided_to = 0  # vehicles before this one already hold this tau's decision
         for k in flips:
             if k < redecided_to:
@@ -697,7 +659,7 @@ def _policy_a_average_costs(x_arr: np.ndarray, taus, p: CostParams) -> list[floa
                 new_merged_k.append(new_merged)
             redecided_to = j + 1
         ends.append(len(changed))
-        prev_tau = policy.tau
+        prev_tau = tau
     cost = _vehicle_costs(np.zeros(n), np.zeros(n, bool), p)[-1]
     new_cost = _vehicle_costs(np.array(new_u_k), np.array(new_merged_k, bool), p)[-1]
     averages = []

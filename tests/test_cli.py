@@ -479,6 +479,29 @@ def test_bad_schedule_row_is_a_usage_error(tmp_path, capsys, bad_row, message):
 
 
 @pytest.mark.parametrize(
+    "header",
+    ["hour,flow1_vph,flow2_vph,flow1_vph", "hour,flow1_vph,flow1_vph", "hour,flow1_vph",
+     "hour,flow1_vph,flow2_vph,note"],
+    ids=["repeated-column", "repeated-for-missing", "missing-column", "extra-column"],
+)
+def test_bad_schedule_header_is_a_usage_error(tmp_path, capsys, header):
+    # A repeated column must not pass: its last field would win.
+    names = header.split(",")
+    # Every row has one field per header name, so only the header is at fault.
+    rows = [",".join([str(h), "10", "20", "99"][: len(names)]) for h in range(24)]
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text(header + "\n" + "\n".join(rows) + "\n")
+    code, out = run(tmp_path, "simulate", "--policy", "baseline", "--schedule", str(schedule),
+                    "--duration", "3600")
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    message = json.loads(err[0])["error"]
+    assert "schedule CSV must have columns" in message and repr(names) in message
+
+
+@pytest.mark.parametrize(
     "config, message",
     [
         ("5", "must hold a JSON object"),

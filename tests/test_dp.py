@@ -349,9 +349,10 @@ def test_bvi_epsilon_validation(p, consts):
         solve_bvi(REDUCED_GRID, Exponential(0.02), p, consts, epsilon=0.0)
 
 
-def test_bvi_sweep_cap(p, consts):
-    with pytest.raises(SolverError, match="did not converge"):
-        solve_bvi(REDUCED_GRID, Exponential(0.02), p, consts, max_sweeps=5)
+def test_bvi_sweep_cap(p, consts, monkeypatch):
+    monkeypatch.setattr("platooncoord.dp.MAX_SWEEPS", 5)
+    with pytest.raises(SolverError, match="did not converge in 5 sweeps"):
+        solve_bvi(REDUCED_GRID, Exponential(0.02), p, consts)
 
 
 @pytest.mark.parametrize("solver", [solve_bvi, solve_ra])

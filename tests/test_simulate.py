@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import importlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -78,6 +79,12 @@ def test_schedule_rejects_non_finite_or_negative_flows(flows):
 def test_zero_flow_schedule_cannot_be_rescaled():
     with pytest.raises(ValueError, match="no flow"):
         flat_schedule(0.0).with_average_flow(10.0)
+
+
+def test_schedule_csv_columns_may_come_in_any_order(tmp_path):
+    path = tmp_path / "schedule.csv"
+    path.write_text("flow2_vph,hour,flow1_vph\n" + "".join(f"20,{h},10\n" for h in range(24)))
+    assert FlowSchedule.from_csv(path).rows == tuple((h, 10.0, 20.0) for h in range(24))
 
 
 def test_schedule_rate_switches_at_hour_boundary():
@@ -385,13 +392,14 @@ def test_calibration_averages_match_a_day_per_tau(p, consts, flow, duration):
     # tau = 1e6 lies above every gap and 30 above most gaps of the faster days,
     # so the first step flips nearly every vehicle of the no-merge day it
     # starts from; the next steps go back down.
-    _, x_arr = generate_arrivals(FlowSchedule.bundled().with_average_flow(flow), 0, duration)
+    schedule = FlowSchedule.bundled().with_average_flow(flow)
+    _, x_arr = generate_arrivals(schedule, 0, duration)
     for taus in ([1e6, 0.0, 7.5], [30.0, 0.0]):
-        want = [sim._run_day(x_arr, PolicyA(tau=tau), p, consts).avg_cost for tau in taus]
+        want = [simulate(schedule, PolicyA(tau=tau), p, consts, 0, duration).avg_cost
+                for tau in taus]
         assert sim._policy_a_average_costs(x_arr, taus, p) == want
     if duration == 0.0:
         assert want == [None, None]
-        schedule = FlowSchedule.bundled().with_average_flow(flow)
         assert calibrate_policy_a(schedule, p, consts, seed=0, duration=duration,
                                   taus=np.array([7.5, 0.0])) == 7.5
 
@@ -802,6 +810,10 @@ def test_zero_duration_is_an_empty_day(p, consts):
     result = simulate(schedule, PolicyA(tau=18.5), p, consts, seed=0, duration=0.0)
     assert result.n_vehicles == len(result.records) == 0
     assert list(result.records) == [] and result.records[:] == []
+    assert (result.total_cost, result.total_fuel, result.total_time) == (0.0, 0.0, 0.0)
+    assert (result.avg_cost, result.avg_cost_per_km, result.avg_fuel, result.avg_time) == (
+        None, None, None, None)
+    assert result.platoon_histogram == {}
     assert calibrate_policy_a(schedule, p, consts, seed=0, duration=0.0) == 0.0
 
 
@@ -815,9 +827,8 @@ ALL_POLICIES = [
 
 def eager_records(schedule, policy, p, consts, seed, duration):
     """Every record built at once from the day's columns."""
-    t_arr, x_arr = generate_arrivals(schedule, seed, duration)
-    day = sim._run_day(x_arr, policy, p, consts)
-    columns = (t_arr, x_arr, day.s, day.u, day.merged, day.speed, day.coord_fuel,
+    day = sim._run_day(*generate_arrivals(schedule, seed, duration), policy, p, consts)
+    columns = (day.t, day.x, day.s, day.u, day.merged, day.speed, day.coord_fuel,
                day.cruise_fuel, day.travel_time, day.cost)
     return [
         sim.VehicleRecord(k, *row)
@@ -869,6 +880,36 @@ def test_records_are_built_only_when_read(p, consts, count_records, policy, dura
     for i in (n, -n - 1):
         with pytest.raises(IndexError):
             records[i]
+
+
+@pytest.mark.parametrize(
+    "policy, duration", ALL_POLICIES, ids=lambda case: getattr(case, "name", None)
+)
+def test_totals_are_sums_of_the_records(p, consts, policy, duration):
+    result = simulate(flat_schedule(173.0), policy, p, consts, seed=3, duration=duration)
+    records = list(result.records)
+    n = len(records)
+    assert n == result.n_vehicles > 50
+
+    def column(name):
+        return np.array([getattr(r, name) for r in records])
+
+    total_cost = float(column("cost").sum())
+    total_fuel = float((column("coord_fuel") + column("cruise_fuel")).sum())
+    total_time = float(column("travel_time").sum())
+    span_km = (p.d1 + p.d2) / 1000.0
+    sizes = []  # the first vehicle and every vehicle that does not merge lead a platoon
+    for r in records:
+        if r.k == 1 or not r.merged:
+            sizes.append(1)
+        else:
+            sizes[-1] += 1
+    assert len(set(sizes)) > 1
+    got = (result.total_cost, result.total_fuel, result.total_time, result.avg_cost,
+           result.avg_cost_per_km, result.avg_fuel, result.avg_time, result.platoon_histogram)
+    want = (total_cost, total_fuel, total_time, total_cost / n, total_cost / (n * span_km),
+            total_fuel / n, total_time / n, dict(Counter(sizes)))
+    assert got == want
 
 
 def per_record_csv(path, result):
@@ -951,10 +992,11 @@ def fixed_policy_id(policy):
 
 @pytest.mark.parametrize("policy", FIXED_POLICIES, ids=fixed_policy_id)
 def test_fixed_rules_match_the_per_vehicle_decision(p, policy):
-    rule = sim._decision_rule(policy, p)
+    rule, *bound = sim._decision_rule(policy, p)
     thresholds = (
         (policy.policy.theta, policy.policy.c) if isinstance(policy, PolicyB) else (None, None)
     )
+    assert tuple(bound) == thresholds
     for s in edge_states(p):
         for x in (s, 1.0, 18.5, 40.0):
             want = outcome(oracle_decision, policy, s, x, p)
@@ -984,6 +1026,16 @@ def test_fixed_rule_boundaries(p):
 def test_apply_policy_rejects_the_real_time_strategy(p):
     with pytest.raises(ValueError, match="need a day's thresholds"):
         apply_policy(RealTimeStrategy(), 10.0, 10.0, p)
+
+
+def test_decision_rule_rejects_the_real_time_strategy(p):
+    with pytest.raises(ValueError) as want:
+        apply_policy(RealTimeStrategy(), 10.0, 10.0, p)
+    with pytest.raises(ValueError) as got:
+        sim._decision_rule(RealTimeStrategy(), p)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(TypeError, match="unknown policy spec"):
+        sim._decision_rule("policy_a", p)
 
 
 def oracle_day(x_arr, policy, p):
@@ -1025,15 +1077,16 @@ def test_fixed_policy_days_match_the_per_vehicle_loop(p, consts, policy):
         assert [(r.s, r.u, r.merged) for r in result.records] == oracle_day(x_arr, policy, p)
 
 
-def oracle_run_day(x_arr, policy, p, consts):
+def oracle_run_day(t_arr, x_arr, policy, p, consts):
     """``_run_day`` for a fixed policy with the decisions of ``oracle_day``,
     one vehicle at a time, and the day's costs on arrays."""
     rows = oracle_day(x_arr, policy, p)
     s, u = (np.array([row[i] for row in rows], float) for i in (0, 1))
     merged = np.array([row[2] for row in rows], bool)
     n = len(rows)
-    theta, c = sim._fixed_thresholds(policy)
-    return sim._Day(s, u, merged, [theta] * n, [c] * n, *sim._vehicle_costs(u, merged, p))
+    _, theta, c = sim._decision_rule(policy, p)
+    return sim.VehicleRecords(t_arr, x_arr, s, u, merged, *sim._vehicle_costs(u, merged, p),
+                              [theta] * n, [c] * n)
 
 
 @pytest.mark.parametrize("vehicles", ["day", "empty", "one"])
@@ -1059,9 +1112,10 @@ def test_baseline_array_day_matches_the_per_vehicle_loop(tmp_path, monkeypatch, 
 def test_baseline_array_day_at_the_rule_boundaries(p, consts):
     # Gaps at and beside SAFETY_REACTION_TIME and every other edge the rules test.
     x_arr = np.array([s for s in edge_states(p) if s >= 0.0])
-    got = sim._run_day(x_arr, Baseline(), p, consts)
-    want = oracle_run_day(x_arr, Baseline(), p, consts)
-    assert [np.asarray(a).tolist() for a in got] == [np.asarray(a).tolist() for a in want]
+    t_arr = np.cumsum(x_arr)
+    got = sim._run_day(t_arr, x_arr, Baseline(), p, consts)
+    want = oracle_run_day(t_arr, x_arr, Baseline(), p, consts)
+    assert list(got.rows()) == list(want.rows())
     assert got.merged[x_arr == SAFETY_REACTION_TIME].all()
     assert not got.merged[x_arr > SAFETY_REACTION_TIME].any()
 
