@@ -127,6 +127,7 @@ class _ExponentialQuadrature:
         inner = r * (1.0 - r**k) / (1.0 - r) if r < 1.0 else k.astype(float)
         trap = np.where(spans >= 1, step * rate * (0.5 + inner + 0.5 * self.tail), 0.0)
         self.mass = trap + self.tail
+        self.offset_weights = rate * r ** np.arange(1, grid.size)  # f(m * step), m >= 1
 
     def expect(self, values: np.ndarray) -> np.ndarray:
         """E[V(node_i + X)] at every node. The running sum over higher nodes,
@@ -148,21 +149,21 @@ class _ExponentialQuadrature:
                         gamma: float) -> None:
         """Fill values[i] = G_i + gamma * E[V] for i below top_index, in place.
 
-        The running discounted sum over higher nodes makes each node O(1).
-        The zero-offset trapezoid endpoint weighs node i itself, with weight
-        step * f0 / (2 * mass_i); that term is linear in values[i], so it is
-        solved for instead of read before it is written.
+        The running sum over the nodes above the cut is one dot product; below
+        it, the running sum makes each node O(1). The zero-offset trapezoid
+        endpoint weighs node i itself, with weight step * f0 / (2 * mass_i);
+        that term is linear in values[i], so it is solved for instead of read
+        before it is written.
         """
         size = self.grid.size
         step = self.grid.step
         f0 = self.f0
         r = self.decay
         v_top = values[-1]
-        running = 0.0  # sum_{j > i} f((j-i)*step) * V_j
-        for i in range(size - 2, -1, -1):
+        # sum_{j > i} f((j-i)*step) * V_j, here at i = top_index
+        running = self.offset_weights[: size - 1 - top_index] @ values[top_index + 1 :]
+        for i in range(top_index - 1, -1, -1):
             running = r * (f0 * values[i + 1] + running)
-            if i >= top_index:
-                continue
             rest = step * (running - 0.5 * f0 * self.tail[i] * v_top) + self.tail[i] * v_top
             scale = 1.0 - gamma * step * f0 / (2.0 * self.mass[i])
             values[i] = (g_nodes[i] + gamma * rest / self.mass[i]) / scale

@@ -30,7 +30,6 @@ from . import poisson
 
 SAFETY_REACTION_TIME = 2.3  # s, follower arrives this late when merging
 MAX_SPEED = 40.0  # m/s, freeway speed cap
-FUEL_CUBIC = 3.51e-7  # L/s per (m/s)^3
 FUEL_LINEAR = 4.07e-4  # L/s per (m/s)
 
 DEFAULT_SCHEDULE_RESOURCE = "i210_134_hourly_flows.csv"
@@ -41,9 +40,10 @@ MAX_RUN_HOURS = 24 * 366
 MAX_EXPECTED_ARRIVALS = 10**7
 
 
-def fuel_rate(speed: float) -> float:
-    """Fuel burn [L/s] at a given speed [m/s]."""
-    return FUEL_CUBIC * speed**3 + FUEL_LINEAR * speed
+def fuel_rate(speed: float, p: CostParams) -> float:
+    """Fuel burn [L/s] at a given speed [m/s]: the cost model's cubic term
+    alpha * speed^3 plus a linear term that no decision changes."""
+    return p.alpha * speed**3 + FUEL_LINEAR * speed
 
 
 @dataclass(frozen=True)
@@ -336,14 +336,6 @@ def step_state(prev_s: float, applied_u: float, next_x: float) -> float:
     return next_x + applied_u
 
 
-def merge_speed(u: float, p: CostParams) -> float:
-    """Spatial-average coordinating-zone speed for time reduction u."""
-    denom = p.d1 / p.v - u
-    if denom <= 0.0:
-        raise ValueError(f"time reduction {u!r} implies non-positive traversal time")
-    return p.d1 / denom
-
-
 _Rule = Callable[[float, float], tuple[float, bool]]
 """One vehicle's decision: (S_k, X_k) -> realized (U_k, merged)."""
 
@@ -351,8 +343,7 @@ _Rule = Callable[[float, float], tuple[float, bool]]
 def _threshold_rule(theta: float, c: float, p: CostParams) -> _Rule:
     """Realized (U, merged) for the threshold pair (theta, c), including the
     safety buffer on merges and the speed-cap fallback to cruising, with the
-    constants bound; the merge branch computes ``merge_speed(u, p)`` as
-    t0 = d1 / v, d1 / (t0 - u)."""
+    constants bound; a merge's coordinating-zone speed is d1 / (t0 - u)."""
     t0, d1 = p.t0, p.d1
     reaction, cap = SAFETY_REACTION_TIME, MAX_SPEED
 
@@ -371,9 +362,8 @@ def _threshold_rule(theta: float, c: float, p: CostParams) -> _Rule:
 
 def _policy_a_rule(tau: float, p: CostParams) -> _Rule:
     """Merge by accelerating the whole predicted headway when the gap is
-    below tau and the merge speed stays under the cap. With 0 <= s < t0 the
-    traversal time t0 - s of ``merge_speed(s, p)`` is positive, so it cannot
-    raise here."""
+    below tau and the merge speed d1 / (t0 - s) stays under the cap. With
+    0 <= s < t0 that traversal time is positive."""
     t0, d1 = p.t0, p.d1
     cap = MAX_SPEED
 
@@ -423,11 +413,11 @@ def _vehicle_costs(u, merged, p: CostParams):
     if np.any(speed > MAX_SPEED + 1e-9):
         raise ValueError(f"speed {float(np.max(speed))!r} exceeds the cap {MAX_SPEED!r}")
     coord_time = p.d1 / speed
-    coord_fuel = coord_time * fuel_rate(speed)
+    coord_fuel = coord_time * fuel_rate(speed, p)
     cruise_time = p.d2 / p.v
     # Merged vehicles save the fraction eta of the cruise fuel; 1.0 - eta * False
     # is exactly 1.0, so cruising vehicles keep the undiscounted value.
-    cruise_fuel = cruise_time * fuel_rate(p.v) * (1.0 - p.eta * merged)
+    cruise_fuel = cruise_time * fuel_rate(p.v, p) * (1.0 - p.eta * merged)
     travel_time = coord_time + cruise_time
     cost = p.w2 * (coord_fuel + cruise_fuel) + p.w1 * travel_time
     return speed, coord_fuel, cruise_fuel, travel_time, cost

@@ -133,7 +133,8 @@ def test_criterion_3_timing_ordering(p, consts):
         assert t_poisson < t_ra < t_bvi
         detail = (
             f"exp: poisson {t_poisson*1e3:.2f} < ra {t_ra*1e3:.2f} "
-            f"< bvi {t_bvi*1e3:.2f} ms"
+            f"< bvi {t_bvi*1e3:.2f} ms, ra/poisson x{t_ra / t_poisson:.2f}, "
+            f"bvi/ra x{t_bvi / t_ra:.2f}"
         )
         for name, model in (
             ("discrete", DiscreteRandom(atoms=((15.0, 0.4), (8.0, 0.6)))),
@@ -144,7 +145,10 @@ def test_criterion_3_timing_ordering(p, consts):
                 lambda: solve_bvi(REDUCED_GRID, model, p, consts, DEFAULT_EPSILON)
             )
             assert t_ra_m < t_bvi_m
-            detail += f"; {name}: ra {t_ra_m*1e3:.2f} < bvi {t_bvi_m*1e3:.2f} ms"
+            detail += (
+                f"; {name}: ra {t_ra_m*1e3:.2f} < bvi {t_bvi_m*1e3:.2f} ms, "
+                f"bvi/ra x{t_bvi_m / t_ra_m:.2f}"
+            )
         return detail
 
     _run(3, "timing", body)

@@ -199,6 +199,21 @@ def test_simulate_emit_vehicles(tmp_path):
     assert len(rows) - 1 == doc["n_vehicles"]
 
 
+def test_simulate_config_alpha_moves_simulated_fuel(tmp_path):
+    common = ["simulate", "--policy", "baseline", "--scale", "0.02", "--seed", "1",
+              "--duration", "7200"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"alpha": 7e-7}))
+    _, nominal_out = run(tmp_path, *common)
+    _, heavy_out = run(tmp_path, *common, "--config", str(path))
+    nominal = json.loads(nominal_out.read_text())
+    heavy = json.loads(heavy_out.read_text())
+    assert heavy["n_vehicles"] == nominal["n_vehicles"] > 0
+    assert heavy["platoon_histogram"] == nominal["platoon_histogram"]
+    assert heavy["avg_fuel_l"] > nominal["avg_fuel_l"]
+    assert heavy["avg_time_s"] == nominal["avg_time_s"]
+
+
 def test_simulate_policy_b_requires_thresholds(capsys):
     code = main(["simulate", "--policy", "b", "--scale", "0.02"])
     assert code == 1

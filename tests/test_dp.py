@@ -14,6 +14,7 @@ from platooncoord import (
     SolverError,
     StateGrid,
     ValueFunction,
+    compute_constants,
     platoon_bonus,
     reward_cruise,
     reward_merge,
@@ -23,7 +24,12 @@ from platooncoord import (
 )
 from platooncoord.arrivals import ArrivalModel, atoms_of
 from platooncoord.cost import SINGULARITY_GUARD, CostConstants, CostParams
-from platooncoord.dp import MAX_GRID_NODES, _quadrature, greedy_actions
+from platooncoord.dp import (
+    MAX_GRID_NODES,
+    _ExponentialQuadrature,
+    _quadrature,
+    greedy_actions,
+)
 
 
 # Scalar reference implementations of E[V(a + X)] and of a one-state
@@ -260,6 +266,77 @@ def test_backward_values_solve_the_backup_below_the_cut(p, grid):
                 oracle = start.copy()
                 atom_backward_oracle(grid, model, oracle, top_index, g_nodes, gamma)
                 assert np.array_equal(values, oracle), where
+
+
+def exponential_backward_oracle(quad, values, top_index, g_nodes, gamma):
+    """RA's backward pass for exponential headways as one per-node loop from
+    the grid top, which carries the running sum through the nodes above
+    top_index one at a time; in place, as ``backward_values``."""
+    size = quad.grid.size
+    step = quad.grid.step
+    f0 = quad.f0
+    r = quad.decay
+    v_top = values[-1]
+    running = 0.0  # sum_{j > i} f((j-i)*step) * V_j
+    for i in range(size - 2, -1, -1):
+        running = r * (f0 * values[i + 1] + running)
+        if i >= top_index:
+            continue
+        rest = step * (running - 0.5 * f0 * quad.tail[i] * v_top) + quad.tail[i] * v_top
+        scale = 1.0 - gamma * step * f0 / (2.0 * quad.mass[i])
+        values[i] = (g_nodes[i] + gamma * rest / quad.mass[i]) / scale
+
+
+@pytest.mark.parametrize(
+    "grid", [REDUCED_GRID, StateGrid(m=-50.0, n=150.0, step=0.25), DEFAULT_GRID],
+    ids=["reduced", "quarter", "default"],
+)
+@pytest.mark.parametrize("rate", [5e-324, 1e-12, 0.02, 1.0, 100.0])
+def test_exponential_backward_values_match_the_per_node_loop(p, grid, rate):
+    quad = _quadrature(grid, Exponential(rate))
+    rng = np.random.default_rng(5)
+    g_nodes = rng.normal(size=grid.size)
+    for top_index in (1, grid.size // 3 + 1, grid.size - 1):
+        above = grid.size - top_index
+        for plateau in (rng.uniform(-5.0, 5.0, above), np.full(above, -3.5)):
+            start = np.full(grid.size, np.nan)  # read before written would leave NaN
+            start[top_index:] = plateau
+            values, oracle = start.copy(), start.copy()
+            quad.backward_values(values, top_index, g_nodes, p.gamma)
+            exponential_backward_oracle(quad, oracle, top_index, g_nodes, p.gamma)
+            where = (top_index, plateau[0])
+            assert np.array_equal(values[top_index:], start[top_index:]), where
+            error = np.max(np.abs(values[:top_index] - oracle[:top_index]))
+            assert error <= 1e-13 * np.max(np.abs(oracle)), where
+
+
+def _ra_outcome(grid, model, p, consts):
+    """RA's (policy, z, iterations) and value array, or its error message."""
+    try:
+        res = solve_ra(grid, model, p, consts)
+    except SolverError as exc:
+        return str(exc), None
+    return (res.policy, res.z, res.iterations), res.value_function.values
+
+
+@pytest.mark.parametrize("grid", [REDUCED_GRID, DEFAULT_GRID], ids=["reduced", "default"])
+@pytest.mark.parametrize("gamma", [None, 0.3, 0.6, 0.9, 0.99], ids=str)
+def test_ra_matches_a_solve_through_the_per_node_loop(grid, gamma, monkeypatch):
+    # gamma None: the acceptance suite's five models at nominal parameters.
+    if gamma is None:
+        models = [Exponential(0.01), Exponential(0.02), Exponential(0.05),
+                  DiscreteRandom(atoms=((15.0, 0.4), (8.0, 0.6))), Constant(10.0)]
+    else:
+        models = [Exponential(rate) for rate in (5e-324, 1e-12, 0.005, 0.02, 0.05, 1.0, 100.0)]
+    params = CostParams.from_config(None if gamma is None else {"gamma": gamma})
+    consts = compute_constants(params)
+    fast = [_ra_outcome(grid, model, params, consts) for model in models]
+    monkeypatch.setattr(_ExponentialQuadrature, "backward_values", exponential_backward_oracle)
+    for model, (answer, values) in zip(models, fast):
+        oracle_answer, oracle_values = _ra_outcome(grid, model, params, consts)
+        assert answer == oracle_answer, model
+        if oracle_values is not None:
+            assert np.all(np.abs(values - oracle_values) <= 1e-12 * np.abs(oracle_values)), model
 
 
 def test_expected_value_outside_grid():

@@ -15,6 +15,7 @@ from platooncoord import (
     PolicyA,
     PolicyB,
     RealTimeStrategy,
+    compute_constants,
     poisson,
     rate_estimates,
     simulate,
@@ -29,7 +30,6 @@ from platooncoord.simulate import (
     calibrate_policy_a,
     fuel_rate,
     generate_arrivals,
-    merge_speed,
     step_state,
     write_vehicle_csv,
 )
@@ -224,13 +224,6 @@ def test_step_state_chained_identity():
         assert s == pytest.approx(nxt - prev)
 
 
-def test_merge_speed(p):
-    assert merge_speed(0.0, p) == pytest.approx(p.v)
-    assert merge_speed(-10.0, p) < p.v
-    with pytest.raises(ValueError):
-        merge_speed(p.t0, p)
-
-
 def test_threshold_decision_cruise_branch(p):
     u, merged = sim._threshold_rule(20.0, -0.5, p)(25.0, 25.0)
     assert (u, merged) == (-0.5, False)
@@ -252,9 +245,31 @@ def test_threshold_decision_speed_cap_fallback(p):
 def test_fuel_rate_example(p):
     rec = account_costs(1, 0.0, 10.0, 10.0, 0.0, False, p)
     # f(23) = 3.51e-7 * 23^3 + 4.07e-4 * 23, over t0 = 43.478 s.
-    assert fuel_rate(23.0) == pytest.approx(0.0136317, abs=1e-7)
+    assert fuel_rate(23.0, p) == pytest.approx(0.0136317, abs=1e-7)
     assert rec.coord_fuel == pytest.approx(0.59268, abs=1e-4)
     assert rec.speed == pytest.approx(p.v)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [Baseline(), PolicyA(tau=18.5), PolicyB(ThresholdPolicy(theta=24.7, c=-36.0))],
+    ids=["baseline", "policy-a", "policy-b"],
+)
+def test_doubling_alpha_adds_its_cubic_fuel_term(p, policy):
+    # The decisions do not read alpha, so each vehicle keeps its speed and
+    # burns exactly one more coord_time * alpha * speed^3 in the zone.
+    twice = dataclasses.replace(p, alpha=2.0 * p.alpha)
+    schedule = flat_schedule(173.0)
+    base = simulate(schedule, policy, p, compute_constants(p), seed=2, duration=7200.0)
+    more = simulate(schedule, policy, twice, compute_constants(twice), seed=2,
+                    duration=7200.0)
+    assert len(base.records) == len(more.records) > 0
+    for a, b in zip(base.records, more.records):
+        assert (a.u, a.merged, a.speed) == (b.u, b.merged, b.speed)
+        coord_time = p.d1 / a.speed
+        extra = coord_time * p.alpha * a.speed**3
+        assert b.coord_fuel - a.coord_fuel == pytest.approx(extra, rel=1e-12)
+    assert more.avg_fuel > base.avg_fuel
 
 
 def test_merged_cruise_fuel_discount(p):
@@ -933,6 +948,15 @@ def test_vehicle_csv_matches_per_record_writer(tmp_path, p, consts, policy, dura
     write_vehicle_csv(tmp_path / "columns.csv", result)
     per_record_csv(tmp_path / "records.csv", result)
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+
+
+def merge_speed(u, p):
+    """Spatial-average coordinating-zone speed d1 / (t0 - u) for time
+    reduction u, as the decision oracle below computes it."""
+    denom = p.d1 / p.v - u
+    if denom <= 0.0:
+        raise ValueError(f"time reduction {u!r} implies non-positive traversal time")
+    return p.d1 / denom
 
 
 def oracle_decision(policy, s, x, p):
